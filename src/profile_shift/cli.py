@@ -12,7 +12,6 @@ failure, 5 dense-oracle cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -72,6 +71,7 @@ except Exception:  # pragma: no cover - metadata missing in odd installs
 COMMANDS = ("solve", "oracle", "spectrum", "posedness", "convergence", "validate")
 ORACLE_AGREEMENT_TOL = 1e-8
 MASS_TOL = 1e-12
+CSV_BLOCK_ROWS = 32  # trajectory CSV rows formatted per write
 
 _TOP_KEYS = {
     "domain", "resolution", "T", "N_t", "theta", "advection_mode",
@@ -822,13 +822,17 @@ def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
     header = list("xy"[: trajectory.grid.dimension]) + [
         f"{trajectory.slices[k].t:.17g}" for k in keep
     ]
+    # A block of rows is formatted by one format string; stacking the whole
+    # (M, slices) table at once would cost its size in memory again.
+    row_format = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(trajectory.grid.size):
-            row = [f"{c:.17g}" for c in coords[i]]
-            row += [f"{trajectory.slices[k].values[i]:.17g}" for k in keep]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, trajectory.grid.size, CSV_BLOCK_ROWS):
+            hi = lo + CSV_BLOCK_ROWS
+            block = np.column_stack(
+                [coords[lo:hi]] + [trajectory.slices[k].values[lo:hi] for k in keep]
+            )
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, obj):

@@ -104,19 +104,27 @@ class Grid:
                 return -1
         return int(self.index_map[idx])
 
+    def neighbor(self, offset: Sequence[int]) -> np.ndarray:
+        """Linear index of the node at ``offset`` from each interior node, or -1.
+
+        Returns an int array of length M; -1 marks a neighbor on the box
+        boundary or in a masked-out cell.
+        """
+        step = np.asarray(offset, dtype=np.int64)
+        reach = int(np.abs(step).max())
+        padded = np.pad(self.index_map, reach, constant_values=-1)
+        return padded[tuple((self.nodes + reach + step).T)]
+
     def adjacency(self) -> sp.csr_matrix:
         """Axis-neighbor adjacency of interior nodes (M x M, symmetric)."""
         rows, cols = [], []
-        for axis in range(self.dimension):
-            for sign in (-1, 1):
-                shifted = self.nodes.copy()
-                shifted[:, axis] += sign
-                for row, multi in enumerate(shifted):
-                    col = self.node_index(multi)
-                    if col >= 0:
-                        rows.append(row)
-                        cols.append(col)
-        data = np.ones(len(rows))
+        unit = np.eye(self.dimension, dtype=np.int64)
+        for offset in np.concatenate([unit, -unit]):
+            col = self.neighbor(offset)
+            rows.append(np.flatnonzero(col >= 0))
+            cols.append(col[col >= 0])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        data = np.ones(rows.size)
         return sp.csr_matrix((data, (rows, cols)), shape=(self.size, self.size))
 
     def components(self) -> np.ndarray:

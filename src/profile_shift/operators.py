@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NegativeAbsorption, NotElliptic, NotSymmetric
+from .errors import NegativeAbsorption, NotElliptic, NotSymmetric, ValidationError
 from .grid import Grid
 
 ADVECTION_MODES = ("upwind", "centered")
@@ -52,64 +52,41 @@ class CoefficientField:
             raise NotElliptic(f"ellipticity constant must be positive, got {self.delta}")
 
 
+def _constant(a: np.ndarray, f: np.ndarray, q: float) -> CoefficientField:
+    """Field with the same a, f and q at every (x, t); delta = lambda_min(a)."""
+    if q < 0:
+        raise NegativeAbsorption(f"absorption rate must be >= 0, got {q}")
+    a = np.asarray(a, dtype=float)
+    f = np.asarray(f, dtype=float)
+    q = float(q)
+    return CoefficientField(
+        dimension=f.shape[0],
+        a=lambda x, t: a,
+        f=lambda x, t: f,
+        q=lambda x, t: q,
+        delta=float(np.linalg.eigvalsh(a)[0]),
+    )
+
+
 def heat(dimension: int = 1) -> CoefficientField:
     """Pure diffusion: a = I, f = 0, q = 0."""
-    eye = np.eye(dimension)
-    zero = np.zeros(dimension)
-    return CoefficientField(
-        dimension=dimension,
-        a=lambda x, t: eye,
-        f=lambda x, t: zero,
-        q=lambda x, t: 0.0,
-        delta=1.0,
-    )
+    return _constant(np.eye(dimension), np.zeros(dimension), 0.0)
 
 
 def absorb(rate: float, dimension: int = 1) -> CoefficientField:
     """Unit diffusion with constant absorption rate q = rate >= 0."""
-    if rate < 0:
-        raise NegativeAbsorption(f"absorption rate must be >= 0, got {rate}")
-    eye = np.eye(dimension)
-    zero = np.zeros(dimension)
-    return CoefficientField(
-        dimension=dimension,
-        a=lambda x, t: eye,
-        f=lambda x, t: zero,
-        q=lambda x, t: float(rate),
-        delta=1.0,
-    )
+    return _constant(np.eye(dimension), np.zeros(dimension), rate)
 
 
 def drift(velocity: Sequence[float], absorption: float = 0.0) -> CoefficientField:
     """Unit diffusion with constant drift vector f = velocity."""
     vel = np.asarray(velocity, dtype=float)
-    dimension = vel.shape[0]
-    eye = np.eye(dimension)
-    if absorption < 0:
-        raise NegativeAbsorption(f"absorption rate must be >= 0, got {absorption}")
-    return CoefficientField(
-        dimension=dimension,
-        a=lambda x, t: eye,
-        f=lambda x, t: vel,
-        q=lambda x, t: float(absorption),
-        delta=1.0,
-    )
+    return _constant(np.eye(vel.shape[0]), vel, absorption)
 
 
 def anisotropic(axx: float, axy: float, ayy: float, absorption: float = 0.0) -> CoefficientField:
     """Constant 2D diffusion matrix [[axx, axy], [axy, ayy]]."""
-    mat = np.array([[axx, axy], [axy, ayy]], dtype=float)
-    delta = float(np.linalg.eigvalsh(mat)[0])
-    if absorption < 0:
-        raise NegativeAbsorption(f"absorption rate must be >= 0, got {absorption}")
-    zero = np.zeros(2)
-    return CoefficientField(
-        dimension=2,
-        a=lambda x, t: mat,
-        f=lambda x, t: zero,
-        q=lambda x, t: float(absorption),
-        delta=delta,
-    )
+    return _constant(np.array([[axx, axy], [axy, ayy]]), np.zeros(2), absorption)
 
 
 def tabulated(
@@ -137,7 +114,7 @@ def tabulated(
         np.zeros(m) if q_values is None else np.asarray(q_values, dtype=float).reshape(m)
     )
     if delta is None:
-        delta = float(min(np.linalg.eigvalsh(a_arr[i])[0] for i in range(m)))
+        delta = float(np.linalg.eigvalsh(a_arr)[:, 0].min())
 
     lows = np.array([lo for lo, _ in grid.domain.box])
     steps = np.asarray(grid.h)
@@ -168,52 +145,83 @@ class CoefficientCheck:
     warnings: tuple[str, ...] = ()
 
 
+def _sample(coeffs: CoefficientField, grid: Grid, t: float):
+    """Coefficients at every interior node at time t: a (M, d, d), f (M, d), q (M,).
+
+    The only caller of the coefficient callables.  Raises ValidationError
+    for a non-finite value, NotSymmetric when |a - a^T| exceeds
+    1e-10 * (1 + max|a|) at a node, and NegativeAbsorption for q < 0, each
+    naming the first offending (x, t).
+    """
+    coords = grid.coordinates()
+    m, dim = coords.shape
+    a = np.array([coeffs.a(x, t) for x in coords], dtype=float).reshape(m, dim, dim)
+    f = np.array([coeffs.f(x, t) for x in coords], dtype=float).reshape(m, dim)
+    q = np.array([coeffs.q(x, t) for x in coords], dtype=float).reshape(m)
+    for name, values in (("a", a), ("f", f), ("q", q)):
+        bad = ~np.isfinite(values.reshape(m, -1)).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(
+                f"coefficient {name} is not finite at x={coords[i]}, t={t}: {values[i]}"
+            )
+    defect = _asymmetry(a)
+    bad = defect > 1e-10 * (1.0 + np.abs(a).max(axis=(1, 2)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotSymmetric(
+            f"a is not symmetric at x={coords[i]}, t={t} (defect {defect[i]:.3e})"
+        )
+    if (q < 0).any():
+        i = int(np.argmax(q < 0))
+        raise NegativeAbsorption(f"q={q[i]:.6g} < 0 at x={coords[i]}, t={t}")
+    return a, f, q
+
+
+def _asymmetry(a: np.ndarray) -> np.ndarray:
+    """Largest |a - a^T| entry of each matrix in a (M, d, d) stack."""
+    return np.abs(a - a.swapaxes(1, 2)).max(axis=(1, 2))
+
+
 def validate_coefficients(
     coeffs: CoefficientField,
     grid: Grid,
     time_samples: Sequence[float],
 ) -> CoefficientCheck:
-    """Check symmetry, ellipticity >= delta and q >= 0 on nodes x times.
+    """Check finiteness, symmetry, ellipticity >= delta and q >= 0 on nodes x times.
 
-    Raises NotSymmetric / NotElliptic / NegativeAbsorption naming the first
-    violating (x, t).  On success returns the worst margins, plus a warning
-    when the diffusion field jumps strongly between adjacent nodes (large
-    grid-level variation is allowed but worth flagging).
+    Raises ValidationError / NotSymmetric / NotElliptic / NegativeAbsorption
+    naming the first violating (x, t).  On success returns the worst margins,
+    plus a warning when the diffusion field jumps strongly between adjacent
+    nodes (large grid-level variation is allowed but worth flagging).
     """
     coords = grid.coordinates()
     worst_sym = 0.0
     worst_margin = np.inf
     worst_q = np.inf
     a_scale = 0.0
-    a_samples = np.empty((grid.size, coeffs.dimension, coeffs.dimension))
+    a_first = None
 
     for t in time_samples:
-        for i, x in enumerate(coords):
-            a = np.asarray(coeffs.a(x, t), dtype=float)
-            defect = float(np.abs(a - a.T).max())
-            a_scale = max(a_scale, float(np.abs(a).max()))
-            if defect > 1e-10 * (1.0 + a_scale):
-                raise NotSymmetric(f"a is not symmetric at x={x}, t={t} (defect {defect:.3e})")
-            worst_sym = max(worst_sym, defect)
-
-            lam_min = float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
-            margin = lam_min - coeffs.delta
-            if margin < 0:
-                raise NotElliptic(
-                    f"smallest eigenvalue {lam_min:.6g} of a at x={x}, t={t} is below "
-                    f"delta={coeffs.delta}"
-                )
-            worst_margin = min(worst_margin, margin)
-
-            qval = float(coeffs.q(x, t))
-            if qval < 0:
-                raise NegativeAbsorption(f"q={qval:.6g} < 0 at x={x}, t={t}")
-            worst_q = min(worst_q, qval)
-            if t == time_samples[0]:
-                a_samples[i] = a
+        a, _, q = _sample(coeffs, grid, t)
+        worst_sym = max(worst_sym, float(_asymmetry(a).max()))
+        a_scale = max(a_scale, float(np.abs(a).max()))
+        lam_min = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(1, 2)))[:, 0]
+        margin = lam_min - coeffs.delta
+        below = ~(margin >= 0)  # a NaN delta fails too
+        if below.any():
+            i = int(np.argmax(below))
+            raise NotElliptic(
+                f"smallest eigenvalue {lam_min[i]:.6g} of a at x={coords[i]}, t={t} is "
+                f"below delta={coeffs.delta}"
+            )
+        worst_margin = min(worst_margin, float(margin.min()))
+        worst_q = min(worst_q, float(q.min()))
+        if a_first is None:
+            a_first = a
 
     warnings = []
-    jump = _neighbor_jump(grid, a_samples)
+    jump = _neighbor_jump(grid, a_first) if a_first is not None else 0.0
     if a_scale > 0 and jump > 0.5 * a_scale:
         warnings.append(
             f"diffusion coefficient jumps by {jump:.3g} (>{0.5 * a_scale:.3g}) between "
@@ -230,13 +238,11 @@ def validate_coefficients(
 def _neighbor_jump(grid: Grid, a_samples: np.ndarray) -> float:
     """Largest entrywise change of a between axis-adjacent interior nodes."""
     worst = 0.0
-    for axis in range(grid.dimension):
-        shifted = grid.nodes.copy()
-        shifted[:, axis] += 1
-        for row, multi in enumerate(shifted):
-            col = grid.node_index(multi)
-            if col >= 0:
-                worst = max(worst, float(np.abs(a_samples[row] - a_samples[col]).max()))
+    for offset in np.eye(grid.dimension, dtype=np.int64):
+        col = grid.neighbor(offset)
+        has = col >= 0
+        if has.any():
+            worst = max(worst, float(np.abs(a_samples[has] - a_samples[col[has]]).max()))
     return worst
 
 
@@ -264,97 +270,66 @@ def assemble(
 
     Couplings to nodes outside the interior (box boundary or masked-out
     cells) are dropped, which encodes the homogeneous Dirichlet condition.
-    Coefficient sign/symmetry violations raise the corresponding errors.
+    Non-finite, asymmetric or negative-absorption coefficients raise the
+    errors listed in ``_sample``.
     """
     if advection_mode not in ADVECTION_MODES:
         raise ValueError(f"advection_mode must be one of {ADVECTION_MODES}")
 
+    a, f, q = _sample(coeffs, grid, t)
     dim = grid.dimension
-    coords = grid.coordinates()
-    steps = grid.h
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    mixed_present = False
+    everywhere = np.ones(grid.size, dtype=bool)
+    # (offset, weight per row, rows that carry the coupling)
+    stencil = []
+    diag = -q
+    for axis, unit in enumerate(np.eye(dim, dtype=np.int64)):
+        h = grid.h[axis]
+        # centered second difference for a_ii d2/dx_i2, plus the drift f_i d/dx_i
+        w = a[:, axis, axis] / h**2
+        diag = diag - 2.0 * w
+        fi = f[:, axis]
+        if advection_mode == "upwind":
+            fp = np.maximum(fi, 0.0)
+            fm = np.maximum(-fi, 0.0)
+            diag = diag - (fp + fm) / h
+            stencil += [(unit, w + fp / h, everywhere), (-unit, w + fm / h, everywhere)]
+        else:
+            stencil += [
+                (unit, w + fi / (2.0 * h), everywhere),
+                (-unit, w - fi / (2.0 * h), everywhere),
+            ]
 
-    def couple(row: int, multi: np.ndarray, value: float) -> None:
+    mixed = np.zeros(grid.size, dtype=bool)
+    if dim == 2:
+        # four-point cross difference for 2*a_xy d2/dxdy
+        mixed = a[:, 0, 1] != 0.0
+        w = a[:, 0, 1] / (2.0 * grid.h[0] * grid.h[1])
+        stencil += [
+            (np.array([sx, sy]), sx * sy * w, mixed)
+            for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1))
+        ]
+
+    rows, cols, vals = [np.arange(grid.size)], [np.arange(grid.size)], [diag]
+    for offset, weight, active in stencil:
+        col = grid.neighbor(offset)
         # Dirichlet: a missing neighbor contributes nothing to the row.
-        col = grid.node_index(multi)
-        if col >= 0:
-            rows.append(row)
-            cols.append(col)
-            vals.append(value)
-
-    for row in range(grid.size):
-        x = coords[row]
-        a = np.asarray(coeffs.a(x, t), dtype=float)
-        if np.abs(a - a.T).max() > 1e-10 * (1.0 + np.abs(a).max()):
-            raise NotSymmetric(f"a is not symmetric at x={x}, t={t}")
-        f = np.asarray(coeffs.f(x, t), dtype=float)
-        q = float(coeffs.q(x, t))
-        if q < 0:
-            raise NegativeAbsorption(f"q={q:.6g} < 0 at x={x}, t={t}")
-
-        diag = -q
-        base = grid.nodes[row]
-
-        for axis in range(dim):
-            h = steps[axis]
-            plus = base.copy()
-            plus[axis] += 1
-            minus = base.copy()
-            minus[axis] -= 1
-
-            # centered second difference for a_ii d2/dx_i2
-            w = a[axis, axis] / h**2
-            couple(row, plus, w)
-            couple(row, minus, w)
-            diag -= 2.0 * w
-
-            # drift term f_i d/dx_i
-            fi = f[axis]
-            if advection_mode == "upwind":
-                fp = max(fi, 0.0)
-                fm = max(-fi, 0.0)
-                if fp:
-                    couple(row, plus, fp / h)
-                if fm:
-                    couple(row, minus, fm / h)
-                diag -= (fp + fm) / h
-            else:
-                couple(row, plus, fi / (2.0 * h))
-                couple(row, minus, -fi / (2.0 * h))
-
-        if dim == 2 and a[0, 1] != 0.0:
-            # four-point cross difference for 2*a_xy d2/dxdy
-            mixed_present = True
-            w = a[0, 1] / (2.0 * steps[0] * steps[1])
-            for sx, sy, sign in ((1, 1, 1.0), (-1, -1, 1.0), (1, -1, -1.0), (-1, 1, -1.0)):
-                neighbor = base + np.array([sx, sy])
-                couple(row, neighbor, sign * w)
-
-        rows.append(row)
-        cols.append(row)
-        vals.append(diag)
-
+        keep = active & (col >= 0)
+        rows.append(np.flatnonzero(keep))
+        cols.append(col[keep])
+        vals.append(weight[keep])
+    off_diagonal = np.concatenate(vals[1:])
     matrix = sp.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size),
     )
     matrix.sum_duplicates()
 
-    certified = (
+    # The sign pattern (off-diagonal >= 0, diagonal <= 0) read off the
+    # stencil weights: every (row, column) pair appears once.
+    certified = bool(
         advection_mode == "upwind"
-        and not mixed_present
-        and _sign_pattern_holds(matrix)
+        and not mixed.any()
+        and not np.any(diag > 0)
+        and not np.any(off_diagonal < 0)
     )
     return DiscreteGenerator(matrix=matrix, time_stamp=float(t), m_matrix_certified=certified)
-
-
-def _sign_pattern_holds(matrix: sp.csr_matrix) -> bool:
-    """Off-diagonal entries >= 0 and diagonal entries <= 0."""
-    if np.any(matrix.diagonal() > 0):
-        return False
-    off = matrix.copy().tolil()
-    off.setdiag(0.0)
-    return not np.any(off.tocsr().data < 0)

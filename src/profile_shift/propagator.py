@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InnerSolveFailure
 from .grid import Grid
-from .operators import CoefficientField, assemble
+from .operators import CoefficientField, DiscreteGenerator, assemble
 
 INNER_TOL = 1e-12
 
@@ -116,6 +116,9 @@ class ThetaStepper:
         self.advection_mode = advection_mode
         self._identity = sp.identity(grid.size, format="csc")
         self._cache: dict[int, tuple] = {}
+        # A_h(t_{k+1}) of the last step system built, which is A_h(t_k) of
+        # the next one: (k + 1, generator).
+        self._next_generator: tuple[int, DiscreteGenerator] | None = None
 
     @property
     def m_matrix_certified(self) -> bool:
@@ -126,9 +129,13 @@ class ThetaStepper:
         key = k if self.coeffs.time_dependent else 0
         if key not in self._cache:
             tg = self.timegrid
-            gen0 = assemble(self.coeffs, self.grid, tg.time(key), self.advection_mode)
+            if self._next_generator is not None and self._next_generator[0] == key:
+                gen0 = self._next_generator[1]
+            else:
+                gen0 = assemble(self.coeffs, self.grid, tg.time(key), self.advection_mode)
             if self.coeffs.time_dependent:
                 gen1 = assemble(self.coeffs, self.grid, tg.time(key + 1), self.advection_mode)
+                self._next_generator = (key + 1, gen1)
             else:
                 gen1 = gen0
             explicit = (self._identity + (1.0 - tg.theta) * tg.dt * gen0.matrix).tocsr()
@@ -175,28 +182,6 @@ class ThetaStepper:
             if keep:
                 kept.append(v.copy())
         return kept if keep else v
-
-
-def step(
-    u: StateSlice,
-    coeffs: CoefficientField,
-    grid: Grid,
-    dt: float,
-    theta: float,
-    advection_mode: str = "upwind",
-) -> StateSlice:
-    """One theta-scheme step of length dt starting from slice u."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    gen0 = assemble(coeffs, grid, u.t, advection_mode)
-    gen1 = gen0 if not coeffs.time_dependent else assemble(coeffs, grid, u.t + dt, advection_mode)
-    identity = sp.identity(grid.size, format="csc")
-    explicit = (identity + (1.0 - theta) * dt * gen0.matrix).tocsr()
-    implicit = (identity - theta * dt * gen1.matrix).tocsc()
-    lu = spla.splu(implicit)
-    rhs = explicit @ np.asarray(u.values, dtype=float)
-    out = ThetaStepper._check_inner(lu.solve(rhs), rhs, lu, implicit)
-    return StateSlice(values=out, t=u.t + dt)
 
 
 def propagate(

@@ -8,11 +8,16 @@ import pytest
 
 from profile_shift import (
     ParseError,
+    TimeGrid,
     ValidationError,
+    box2d,
     build_grid,
+    heat,
     interval,
+    propagate,
 )
 from profile_shift.cli import (
+    _write_trajectory_csv,
     build_shift,
     config_from_dict,
     gamma_vector,
@@ -261,6 +266,29 @@ class TestSolveCommand:
         assert float(header[1]) == 0.0
         assert float(header[-1]) == 1.0
 
+    def test_trajectory_csv_matches_csv_writer_rendering(self, tmp_path, rng):
+        # 49 rows span a partial block; 8 slices at stride 3 keep 0, 3, 6
+        # and the forced final slice 7
+        grid = build_grid(box2d(), [7, 7])
+        traj = propagate(
+            rng.standard_normal(grid.size), 0.0, heat(2), grid, TimeGrid(T=1.0, steps=7)
+        )
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory_csv(path, traj, 3)
+
+        expected = tmp_path / "expected.csv"
+        keep = [0, 3, 6, 7]
+        coords = grid.coordinates()
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y"] + [f"{traj.slices[k].t:.17g}" for k in keep])
+            for i in range(grid.size):
+                writer.writerow(
+                    [f"{c:.17g}" for c in coords[i]]
+                    + [f"{traj.slices[k].values[i]:.17g}" for k in keep]
+                )
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_metadata_manifest_hashes_match(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, outputs={"directory": str(out)})
@@ -338,6 +366,19 @@ class TestExitCodes:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["passed"] is False
         assert report["checks"]["positivity"]["violation_count"] >= 1
+
+    def test_non_finite_tabulated_coefficient_is_2(self, tmp_path, capsys):
+        q = [0.0] * 9
+        q[4] = math.nan  # json writes and reads the NaN literal
+        path = write_config(
+            tmp_path,
+            resolution=9,
+            coefficients={"tabulated": {"a": [[[1.0]]] * 9, "q": q}},
+            outputs={"directory": str(tmp_path / "out")},
+        )
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "q is not finite" in err
 
     def test_oracle_cap_is_5(self, tmp_path, capsys):
         path = write_config(

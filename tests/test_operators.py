@@ -6,6 +6,7 @@ from profile_shift import (
     NegativeAbsorption,
     NotElliptic,
     NotSymmetric,
+    ValidationError,
     absorb,
     anisotropic,
     assemble,
@@ -51,6 +52,9 @@ class TestValidateCoefficients:
         coeffs = field([[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0], 0.0, delta=0.2, dimension=2)
         with pytest.raises(NotElliptic):
             validate_coefficients(coeffs, grid2d(5), [0.0])
+        coeffs = field(np.eye(2), [0.0, 0.0], 0.0, delta=np.nan, dimension=2)
+        with pytest.raises(NotElliptic):
+            validate_coefficients(coeffs, grid2d(5), [0.0])
 
     def test_not_symmetric(self, grid2d):
         coeffs = field([[1.0, 0.3], [0.0, 1.0]], [0.0, 0.0], 0.0, delta=0.1, dimension=2)
@@ -70,6 +74,11 @@ class TestValidateCoefficients:
         check = validate_coefficients(coeffs, grid, [0.0])
         assert check.warnings
         assert "jump" in check.warnings[0]
+
+    def test_non_finite_coefficient_named(self, grid1d):
+        coeffs = field([[1.0]], [np.inf], 0.0, delta=1.0)
+        with pytest.raises(ValidationError, match=r"coefficient f is not finite at x=.*t=0.5"):
+            validate_coefficients(coeffs, grid1d(5), [0.5])
 
     def test_delta_must_be_positive(self):
         with pytest.raises(NotElliptic):
@@ -191,6 +200,17 @@ class TestAssemble:
         off = mat - np.diag(np.diag(mat))
         assert np.all(off >= 0.0)
         assert np.all(np.diag(mat) <= 0.0)
+
+    def test_non_finite_coefficient_rejected(self, grid1d):
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: np.array([[np.nan if x[0] > 2.0 else 1.0]]),
+            f=lambda x, t: np.zeros(1),
+            q=lambda x, t: 0.0,
+            delta=1.0,
+        )
+        with pytest.raises(ValidationError, match=r"coefficient a is not finite at x=.*t=0.25"):
+            assemble(coeffs, grid1d(5), 0.25)
 
     def test_time_dependent_sampling(self, grid1d):
         grid = grid1d(5)

@@ -15,8 +15,8 @@ from profile_shift import (
     drift,
     heat,
     propagate,
-    step,
 )
+import profile_shift.propagator as propagator
 
 SCALAR_BE = 0.5523124171952957  # 1 / (1 + 8/pi^2), one-node backward Euler
 EXP_M1 = 0.36787944117144233
@@ -52,14 +52,14 @@ class TestTimeGrid:
 class TestStep:
     def test_zero_is_fixed_point(self, grid1d):
         grid = grid1d(9)
-        out = step(StateSlice(np.zeros(9), 0.0), heat(1), grid, dt=0.1, theta=1.0)
+        out = apply_Q(np.zeros(9), heat(1), grid, TimeGrid(T=0.1, steps=1, theta=1.0))
         assert out.values == pytest.approx(np.zeros(9))
         assert out.t == pytest.approx(0.1)
 
     def test_scalar_backward_euler(self, grid1d):
         # one node on (0, pi): A_h = [-8/pi^2], so u+ = u / (1 + 8/pi^2)
         grid = grid1d(1)
-        out = step(StateSlice(np.ones(1), 0.0), heat(1), grid, dt=1.0, theta=1.0)
+        out = apply_Q(np.ones(1), heat(1), grid, TimeGrid(T=1.0, steps=1, theta=1.0))
         assert out.values[0] == pytest.approx(SCALAR_BE, abs=1e-14)
 
     def test_eigenmode_multiplier(self, grid1d):
@@ -70,12 +70,8 @@ class TestStep:
         for k in (1, 3, 7):
             mode = np.sin(k * x)
             lam = (4.0 / h**2) * np.sin(k * h / 2.0) ** 2
-            out = step(StateSlice(mode, 0.0), heat(1), grid, dt=dt, theta=1.0)
+            out = apply_Q(mode, heat(1), grid, TimeGrid(T=dt, steps=1, theta=1.0))
             assert out.values == pytest.approx(mode / (1.0 + dt * lam), abs=1e-12)
-
-    def test_rejects_nonpositive_dt(self, grid1d):
-        with pytest.raises(ValueError):
-            step(StateSlice(np.zeros(5), 0.0), heat(1), grid1d(5), dt=0.0, theta=1.0)
 
     def test_inner_refinement_gives_up_on_broken_solver(self):
         # a solver that returns garbage must be caught, not trusted
@@ -224,3 +220,25 @@ class TestStepperCache:
             eye - 0.5 * a_one, np.linalg.solve(eye - 0.5 * a_half, x)
         )
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_time_dependent_march_assembles_each_time_once(self, grid1d, monkeypatch):
+        # step k's A_h(t_{k+1}) is step k+1's A_h(t_k): N_t + 1 assemblies
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "assemble", counting)
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: np.eye(1),
+            f=lambda x, t: np.zeros(1),
+            q=lambda x, t: t,
+            delta=1.0,
+            time_dependent=True,
+        )
+        tg = TimeGrid(T=1.0, steps=8, theta=0.5)
+        apply_Q(np.ones(5), coeffs, grid1d(5), tg)
+        assert len(calls) == 9
+        assert sorted(calls) == pytest.approx([tg.time(k) for k in range(9)])
