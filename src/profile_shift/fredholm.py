@@ -10,9 +10,9 @@ which is solved matrix-free with GMRES (each matvec is one full implicit
 time march).  The trajectory is then reconstructed from zeta and scaled to
 unit initial mass, giving the probability-normalized pair (alpha, p).
 
-``dense_propagator`` assembles Q_h column by column through the identical
-stepping code; it exists so the iterative route can be cross-checked
-against explicit linear algebra on small grids.
+``dense_propagator`` assembles Q_h by marching blocks of identity columns
+through the identical stepping code; it exists so the iterative route can
+be cross-checked against explicit linear algebra on small grids.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ from .operators import CoefficientField
 from .propagator import ThetaStepper, TimeGrid, Trajectory, propagate
 
 DENSE_CAP = 4096
+# Identity columns per march in dense_propagator.  Marching the whole
+# identity at once holds several M x M temporaries; 64 columns keep the peak
+# memory of the oracle at that of single-vector marches.
+_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,25 +209,28 @@ def dense_propagator(
     grid: Grid,
     timegrid: TimeGrid,
     advection_mode: str = "upwind",
+    stepper: ThetaStepper | None = None,
 ) -> np.ndarray:
-    """Assemble Q_h as a dense matrix, one basis-vector march per column.
+    """Assemble Q_h as a dense matrix, marching the identity in blocks of columns.
 
     Deliberately routed through the same stepping engine as the iterative
-    solver so the two answers can only differ by linear-algebra error, not
-    by discretization.  Refuses grids above DENSE_CAP nodes.
+    solver (pass ``stepper`` to share its factorizations) so the two answers
+    can only differ by linear-algebra error, not by discretization.  Each
+    march carries up to 64 basis vectors.  Refuses grids above DENSE_CAP
+    nodes.
     """
     m = grid.size
     if m > DENSE_CAP:
         raise TooLarge(
             f"dense propagator needs {m}x{m} storage; cap is {DENSE_CAP} nodes"
         )
-    engine = ThetaStepper(coeffs, grid, timegrid, advection_mode)
+    engine = stepper if stepper is not None else ThetaStepper(
+        coeffs, grid, timegrid, advection_mode
+    )
     columns = np.empty((m, m))
-    basis = np.zeros(m)
-    for j in range(m):
-        basis[j] = 1.0
-        columns[:, j] = engine.run(basis)
-        basis[j] = 0.0
+    for start in range(0, m, _BLOCK_COLUMNS):
+        stop = min(start + _BLOCK_COLUMNS, m)
+        columns[:, start:stop] = engine.run(np.eye(m, stop - start, -start))
     return columns
 
 

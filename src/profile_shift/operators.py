@@ -48,7 +48,7 @@ class CoefficientField:
     time_dependent: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:  # a NaN delta fails too
             raise NotElliptic(f"ellipticity constant must be positive, got {self.delta}")
 
 
@@ -100,7 +100,8 @@ def tabulated(
 
     ``a_values`` has shape (M, dim, dim), ``f_values`` (M, dim), ``q_values``
     (M,).  Missing f or q default to zero.  If delta is omitted it is set to
-    the smallest eigenvalue of a over all nodes.
+    the smallest eigenvalue of a over all nodes.  Raises ValidationError
+    naming the coefficient and the node when a value is not finite.
     """
     dim = grid.dimension
     m = grid.size
@@ -112,6 +113,10 @@ def tabulated(
     )
     q_arr = (
         np.zeros(m) if q_values is None else np.asarray(q_values, dtype=float).reshape(m)
+    )
+    coords = grid.coordinates()
+    _require_finite(
+        (("a", a_arr), ("f", f_arr), ("q", q_arr)), lambda i: f"node {i}, x={coords[i]}"
     )
     if delta is None:
         delta = float(np.linalg.eigvalsh(a_arr)[:, 0].min())
@@ -158,13 +163,7 @@ def _sample(coeffs: CoefficientField, grid: Grid, t: float):
     a = np.array([coeffs.a(x, t) for x in coords], dtype=float).reshape(m, dim, dim)
     f = np.array([coeffs.f(x, t) for x in coords], dtype=float).reshape(m, dim)
     q = np.array([coeffs.q(x, t) for x in coords], dtype=float).reshape(m)
-    for name, values in (("a", a), ("f", f), ("q", q)):
-        bad = ~np.isfinite(values.reshape(m, -1)).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"coefficient {name} is not finite at x={coords[i]}, t={t}: {values[i]}"
-            )
+    _require_finite((("a", a), ("f", f), ("q", q)), lambda i: f"x={coords[i]}, t={t}")
     defect = _asymmetry(a)
     bad = defect > 1e-10 * (1.0 + np.abs(a).max(axis=(1, 2)))
     if bad.any():
@@ -176,6 +175,18 @@ def _sample(coeffs: CoefficientField, grid: Grid, t: float):
         i = int(np.argmax(q < 0))
         raise NegativeAbsorption(f"q={q[i]:.6g} < 0 at x={coords[i]}, t={t}")
     return a, f, q
+
+
+def _require_finite(arrays, where) -> None:
+    """Raise ValidationError at the first node where a (name, (M, ...) array) is not finite.
+
+    ``where(i)`` describes node i in the message.
+    """
+    for name, values in arrays:
+        bad = ~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"coefficient {name} is not finite at {where(i)}: {values[i]}")
 
 
 def _asymmetry(a: np.ndarray) -> np.ndarray:
@@ -208,7 +219,7 @@ def validate_coefficients(
         a_scale = max(a_scale, float(np.abs(a).max()))
         lam_min = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(1, 2)))[:, 0]
         margin = lam_min - coeffs.delta
-        below = ~(margin >= 0)  # a NaN delta fails too
+        below = margin < 0
         if below.any():
             i = int(np.argmax(below))
             raise NotElliptic(

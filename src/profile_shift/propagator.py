@@ -11,7 +11,10 @@ Each step solves
 
 by sparse LU.  For time-independent coefficients the factorization is
 computed once and shared by every step and every repeated application of
-the propagator (the outer Krylov loop applies Q many times).
+the propagator (the outer Krylov loop applies Q many times).  A march
+carries one vector of shape (M,) or a block of k columns of shape (M, k)
+through the same code: SuperLU's solve and the sparse products take
+blocks, and every check is made column by column.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from .errors import InnerSolveFailure
 from .grid import Grid
 from .operators import CoefficientField, DiscreteGenerator, assemble
 
-INNER_TOL = 1e-12
+# Bound on the normwise backward error of one implicit step solve, per
+# column.  SuperLU's step solves measure 0.20-0.44 eps on random right-hand
+# sides (1D heat at n = 255 to 4095, 2D drift at 47 x 47); 16 eps leaves a
+# factor over 35 above that, while a solve that has lost more than four bits
+# still fails.
+INNER_BACKWARD_ERROR = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,17 @@ class ThetaStepper:
 
     @property
     def m_matrix_certified(self) -> bool:
-        return self._step_system(0)[3]
+        return self._step_system(0)[4]
 
     def _step_system(self, k: int):
-        """Matrices for the step t_k -> t_{k+1} (cached)."""
+        """Matrices for the step t_k -> t_{k+1} (cached).
+
+        Returns (explicit, lu, implicit, implicit_norm, certified).
+        ``explicit`` is None when theta = 1, where it is exactly I;
+        ``implicit`` is the CSR copy used for residuals (SuperLU gets the
+        CSC form), and ``implicit_norm`` is sqrt(||B||_1 ||B||_inf), a
+        bound on its 2-norm.
+        """
         key = k if self.coeffs.time_dependent else 0
         if key not in self._cache:
             tg = self.timegrid
@@ -138,42 +153,66 @@ class ThetaStepper:
                 self._next_generator = (key + 1, gen1)
             else:
                 gen1 = gen0
-            explicit = (self._identity + (1.0 - tg.theta) * tg.dt * gen0.matrix).tocsr()
+            explicit = None
+            if tg.theta != 1.0:
+                explicit = (self._identity + (1.0 - tg.theta) * tg.dt * gen0.matrix).tocsr()
             implicit = (self._identity - tg.theta * tg.dt * gen1.matrix).tocsc()
             lu = spla.splu(implicit)
-            self._cache[key] = (explicit, lu, implicit, gen0.m_matrix_certified)
+            implicit_csr = implicit.tocsr()
+            # ||B||_1 and ||B||_inf as the largest absolute column and row
+            # sums: CSR indices are column numbers, CSC indices row numbers.
+            norm_1 = np.bincount(implicit_csr.indices, np.abs(implicit_csr.data)).max()
+            norm_inf = np.bincount(implicit.indices, np.abs(implicit.data)).max()
+            self._cache[key] = (
+                explicit, lu, implicit_csr, float(np.sqrt(norm_1 * norm_inf)),
+                gen0.m_matrix_certified,
+            )
         return self._cache[key]
 
     def step_values(self, values: np.ndarray, k: int) -> np.ndarray:
-        explicit, lu, implicit, _ = self._step_system(k)
-        rhs = explicit @ values
-        out = lu.solve(rhs)
-        out = self._check_inner(out, rhs, lu, implicit)
-        return out
+        """One step t_k -> t_{k+1} of a vector or of a block of columns."""
+        explicit, lu, implicit, implicit_norm, _ = self._step_system(k)
+        rhs = values if explicit is None else explicit @ values
+        return self._check_inner(lu.solve(rhs), rhs, lu, implicit, implicit_norm)
 
     @staticmethod
-    def _check_inner(out, rhs, lu, implicit):
-        # Direct solves land far below INNER_TOL; one refinement pass covers
-        # ill-conditioned steps (large dt on fine grids).
-        norm_rhs = float(np.linalg.norm(rhs))
-        if norm_rhs == 0.0:
-            return np.zeros_like(rhs)
-        for _ in range(2):
+    def _check_inner(out, rhs, lu, implicit, implicit_norm):
+        """Accept the solve ``out`` of implicit @ out = rhs column by column.
+
+        Each column must pass the normwise backward-error test of Rigal and
+        Gaches, ||r_j|| <= INNER_BACKWARD_ERROR * (||B|| ||x_j|| + ||b_j||)
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).  A
+        column that fails gets one refinement pass; passing columns are left
+        untouched, so whether a column is refined does not depend on the rest
+        of its block.
+        """
+        rhs_norm = _column_norms(rhs)
+        for refined in (False, True):
             residual = rhs - implicit @ out
-            if np.linalg.norm(residual) <= INNER_TOL * norm_rhs:
-                if not np.all(np.isfinite(out)):
-                    break
+            scale = implicit_norm * _column_norms(out) + rhs_norm
+            if not np.isfinite(scale).all():
+                raise InnerSolveFailure("implicit step solve produced non-finite values")
+            passed = _column_norms(residual) <= INNER_BACKWARD_ERROR * scale
+            if passed.all():
                 return out
-            out = out + lu.solve(residual)
+            if not refined:
+                out = np.where(passed, out, out + lu.solve(residual))
+        failed = ~passed
+        error = float(np.max(_column_norms(residual)[failed] / scale[failed]))
         raise InnerSolveFailure(
-            "implicit step solve stagnated; the assembled generator is likely broken"
+            f"implicit step solve has normwise backward error {error:.3e} after "
+            f"refinement, above the bound {INNER_BACKWARD_ERROR:.3e}"
         )
 
     def run(self, values: np.ndarray, start_index: int = 0, keep: bool = False):
-        """March from time node start_index to T.
+        """March a vector (M,) or a block (M, k) from time node start_index to T.
 
         Returns the terminal values, or the full list of per-node slices when
-        ``keep`` is set.
+        ``keep`` is set; each has the shape of ``values``.  A column of a
+        block march equals the march of that column alone up to the rounding
+        of SuperLU's multi-column BLAS calls: bit for bit on the grids tried
+        up to M = 2209, while at M = 3969 one step solve differed by up to
+        5.6e-17.
         """
         v = np.asarray(values, dtype=float)
         kept = [v.copy()] if keep else None
@@ -233,3 +272,8 @@ def apply_Q(
         xi, 0.0, coeffs, grid, timegrid, advection_mode,
         keep_trajectory=False, stepper=stepper,
     )
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of a vector, or of each column of a block."""
+    return np.sqrt(np.einsum("i...,i...->...", x, x))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from profile_shift import box2d, build_grid, interval
+
+# One bound for every hypothesis property, so tier-1 stays short.
+settings.register_profile("tier1", max_examples=40, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

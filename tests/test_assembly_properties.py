@@ -1,7 +1,7 @@
 """Properties of the assembled generator over random grids, masks and fields."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from profile_shift import (
@@ -12,8 +12,6 @@ from profile_shift import (
     build_grid,
     heat,
 )
-
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
@@ -79,7 +77,6 @@ def kronecker_generator(shape, h, a, f, q, mode):
     return total
 
 
-@PROPERTY_SETTINGS
 @given(problems())
 def test_masked_generator_is_box_generator_restricted(problem):
     # Dirichlet by dropping: masking a cell deletes its row and column and
@@ -94,7 +91,6 @@ def test_masked_generator_is_box_generator_restricted(problem):
     assert np.array_equal(masked, full[np.ix_(keep, keep)])
 
 
-@PROPERTY_SETTINGS
 @given(problems())
 def test_box_generator_is_kronecker_sum(problem):
     shape, _, a, f, q, mode = problem
@@ -105,7 +101,6 @@ def test_box_generator_is_kronecker_sum(problem):
     assert np.abs(got - expected).max() <= 1e-13 * scale
 
 
-@PROPERTY_SETTINGS
 @given(problems())
 def test_adjacency_is_heat_off_diagonal_pattern(problem):
     shape, inside, *_ = problem

@@ -25,6 +25,8 @@ from profile_shift.cli import (
     parse_config,
     run,
 )
+import profile_shift.operators as operators
+import profile_shift.propagator as propagator
 
 PI = math.pi
 
@@ -405,6 +407,28 @@ class TestOracleCommand:
         q = np.load(out / "qmatrix.npy")
         assert q.shape == (31, 31)
         assert report["spectral_radius"] < 1.0
+
+    def test_one_stepper_serves_oracle_and_solve(self, tmp_path, monkeypatch):
+        assemblies, factorizations = [], []
+
+        def counting(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        assemble = counting(assemblies, operators.assemble)
+        monkeypatch.setattr(operators, "assemble", assemble)
+        monkeypatch.setattr(propagator, "assemble", assemble)
+        monkeypatch.setattr(
+            propagator.spla, "splu", counting(factorizations, propagator.spla.splu)
+        )
+        path = write_config(
+            tmp_path, resolution=15, N_t=8, outputs={"directory": str(tmp_path / "out")},
+        )
+        assert main(["oracle", "--config", str(path), "--quiet"]) == 0
+        assert len(assemblies) == 1
+        assert len(factorizations) == 1
 
 
 class TestSpectrumCommand:

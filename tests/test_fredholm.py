@@ -218,6 +218,16 @@ class TestDenseOracle:
         e3[3] = 1.0
         assert q[:, 3] == pytest.approx(apply_Q(e3, heat(1), grid, tg).values)
 
+    def test_blocks_equal_single_column_marches(self, grid1d):
+        # 130 = 64 + 64 + 2 columns, so the last block is partial
+        grid = grid1d(130)
+        tg = TimeGrid(T=1.0, steps=16, theta=0.5)
+        coeffs = drift([1.5], absorption=0.25)
+        stepper = ThetaStepper(coeffs, grid, tg, "centered")
+        q = dense_propagator(coeffs, grid, tg, "centered", stepper=stepper)
+        expected = np.column_stack([stepper.run(e) for e in np.eye(grid.size)])
+        assert np.array_equal(q, expected)
+
     def test_symmetric_for_pure_diffusion(self, grid1d):
         q = dense_propagator(heat(1), grid1d(15), TimeGrid(T=1.0, steps=32))
         assert np.abs(q - q.T).max() <= 1e-12 * np.abs(q).max()

@@ -52,8 +52,8 @@ class TestValidateCoefficients:
         coeffs = field([[1.0, 0.9], [0.9, 1.0]], [0.0, 0.0], 0.0, delta=0.2, dimension=2)
         with pytest.raises(NotElliptic):
             validate_coefficients(coeffs, grid2d(5), [0.0])
-        coeffs = field(np.eye(2), [0.0, 0.0], 0.0, delta=np.nan, dimension=2)
         with pytest.raises(NotElliptic):
+            coeffs = field(np.eye(2), [0.0, 0.0], 0.0, delta=np.nan, dimension=2)
             validate_coefficients(coeffs, grid2d(5), [0.0])
 
     def test_not_symmetric(self, grid2d):
@@ -254,3 +254,19 @@ class TestTabulated:
         coeffs = tabulated(grid, np.ones((5, 1, 1)))
         with pytest.raises(KeyError):
             coeffs.a(np.array([17.0]), 0.0)
+
+    def test_non_finite_value_named_before_delta(self, grid1d):
+        # a NaN in a would otherwise surface as a NaN default delta
+        grid = grid1d(5)
+        a = np.ones((5, 1, 1))
+        a[3] = np.nan
+        with pytest.raises(ValidationError, match=r"coefficient a is not finite at node 3"):
+            tabulated(grid, a)
+        with pytest.raises(ValidationError, match=r"coefficient f is not finite at node 1"):
+            tabulated(grid, np.ones((5, 1, 1)), f_values=[0.0, np.inf, 0.0, 0.0, 0.0])
+
+
+class TestCoefficientField:
+    def test_nan_delta_rejected(self):
+        with pytest.raises(NotElliptic, match="nan"):
+            field([[1.0]], [0.0], 0.0, delta=np.nan)

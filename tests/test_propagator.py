@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from profile_shift import (
     CoefficientField,
     InnerSolveFailure,
+    ProfileShift,
     StateSlice,
     ThetaStepper,
     TimeGrid,
@@ -15,6 +16,7 @@ from profile_shift import (
     drift,
     heat,
     propagate,
+    solve_profile_shift,
 )
 import profile_shift.propagator as propagator
 
@@ -75,10 +77,34 @@ class TestStep:
 
     def test_inner_refinement_gives_up_on_broken_solver(self):
         # a solver that returns garbage must be caught, not trusted
-        implicit = sp.identity(4, format="csc")
+        implicit = sp.identity(4, format="csr")
         broken = SimpleNamespace(solve=lambda r: np.zeros_like(r))
-        with pytest.raises(InnerSolveFailure):
-            ThetaStepper._check_inner(np.zeros(4), np.ones(4), broken, implicit)
+        with pytest.raises(InnerSolveFailure, match="backward error"):
+            ThetaStepper._check_inner(np.zeros(4), np.ones(4), broken, implicit, 1.0)
+
+    def test_inner_check_catches_one_broken_column_of_a_block(self):
+        implicit = sp.identity(4, format="csr")
+
+        def solve(r):
+            x = r.copy()
+            x[:, 1] = 0.0
+            return x
+
+        broken = SimpleNamespace(solve=solve)
+        rhs = np.ones((4, 3))
+        with pytest.raises(InnerSolveFailure, match="backward error"):
+            ThetaStepper._check_inner(solve(rhs), rhs, broken, implicit, 1.0)
+        rhs[:, 1] = 0.0  # a zero column is solved exactly by zero
+        out = ThetaStepper._check_inner(solve(rhs), rhs, broken, implicit, 1.0)
+        assert np.array_equal(out, rhs)
+
+    @pytest.mark.parametrize("n, steps", [(511, 1), (1023, 1), (4095, 64)])
+    def test_backward_stable_solve_is_accepted(self, grid1d, n, steps):
+        # a relative residual test of 1e-12 rejected these healthy heat steps
+        gamma = np.random.default_rng(0).standard_normal(n)
+        tg = TimeGrid(T=1.0, steps=steps, theta=1.0)
+        report = solve_profile_shift(ProfileShift(gamma), heat(1), grid1d(n), tg)
+        assert report.relative_residual <= 1e-10
 
 
 class TestPropagate:

@@ -1,0 +1,78 @@
+"""A block march equals its columns marched one at a time, bit for bit."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from profile_shift import (
+    ADVECTION_MODES,
+    CoefficientField,
+    Domain,
+    ThetaStepper,
+    TimeGrid,
+    build_grid,
+)
+
+
+def fields(a, f, q, time_dependent):
+    """Constant field, or one whose a, f and q all vary in time."""
+    if not time_dependent:
+        return CoefficientField(
+            dimension=f.size,
+            a=lambda x, t: a,
+            f=lambda x, t: f,
+            q=lambda x, t: q,
+            delta=float(np.linalg.eigvalsh(a)[0]),
+        )
+    return CoefficientField(
+        dimension=f.size,
+        a=lambda x, t: (1.0 + 0.5 * np.sin(3.0 * t)) * a,
+        f=lambda x, t: np.cos(2.0 * t) * f,
+        q=lambda x, t: (1.0 + t) * q,
+        delta=0.5 * float(np.linalg.eigvalsh(a)[0]),
+        time_dependent=True,
+    )
+
+
+@st.composite
+def marches(draw):
+    """(stepper, block, start index, keep)."""
+    dim = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(1, 100 if dim == 1 else 10)) for _ in range(dim))
+    cells = int(np.prod(shape))
+    inside = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    inside[draw(st.integers(0, cells - 1))] = True
+    diag = [draw(st.floats(0.1, 5.0)) for _ in range(dim)]
+    a = np.diag(diag)
+    if dim == 2:
+        a[0, 1] = a[1, 0] = draw(st.floats(-0.9, 0.9)) * np.sqrt(diag[0] * diag[1])
+    f = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(dim)])
+    q = draw(st.floats(0.0, 2.0))
+    coeffs = fields(a, f, q, draw(st.booleans()))
+    grid = build_grid(Domain(dim, ((0.0, 1.0), (0.0, 2.0))[:dim], inside.reshape(shape)), shape)
+    timegrid = TimeGrid(
+        T=draw(st.floats(0.05, 2.0)),
+        steps=draw(st.integers(1, 6)),
+        theta=draw(st.sampled_from([0.5, 0.75, 1.0])),
+    )
+    stepper = ThetaStepper(coeffs, grid, timegrid, draw(st.sampled_from(ADVECTION_MODES)))
+    width = draw(st.integers(1, 5))
+    block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (grid.size, width)
+    )
+    block[:, draw(st.lists(st.booleans(), min_size=width, max_size=width))] = 0.0
+    start = draw(st.integers(0, timegrid.steps))
+    return stepper, block, start, draw(st.booleans())
+
+
+@given(marches())
+def test_block_march_equals_column_marches(march):
+    stepper, block, start, keep = march
+    got = stepper.run(block, start_index=start, keep=keep)
+    columns = [stepper.run(column, start_index=start, keep=keep) for column in block.T]
+    if keep:
+        assert len(got) == stepper.timegrid.steps - start + 1
+        expected = [np.column_stack(slices) for slices in zip(*columns)]
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    else:
+        assert np.array_equal(got, np.column_stack(columns))
