@@ -812,12 +812,13 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
 
 def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
     """Coordinates first, then one value column per retained time slice."""
-    keep = list(range(0, len(trajectory.slices), stride))
-    if keep[-1] != len(trajectory.slices) - 1:
-        keep.append(len(trajectory.slices) - 1)
+    values = trajectory.values
+    keep = list(range(0, len(values), stride))
+    if keep[-1] != len(values) - 1:
+        keep.append(len(values) - 1)
     coords = trajectory.grid.coordinates()
     header = list("xy"[: trajectory.grid.dimension]) + [
-        f"{trajectory.slices[k].t:.17g}" for k in keep
+        f"{t:.17g}" for t in trajectory.times[keep]
     ]
     # A block of rows is formatted by one format string; stacking the whole
     # (M, slices) table at once would cost its size in memory again.
@@ -826,9 +827,7 @@ def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, trajectory.grid.size, CSV_BLOCK_ROWS):
             hi = lo + CSV_BLOCK_ROWS
-            block = np.column_stack(
-                [coords[lo:hi]] + [trajectory.slices[k].values[lo:hi] for k in keep]
-            )
+            block = np.column_stack([coords[lo:hi], values[keep, lo:hi].T])
             fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -69,11 +69,7 @@ class ProfileShift:
 
 @dataclass(frozen=True, eq=False)
 class FredholmReport:
-    """Outcome of one profile-shift solve.
-
-    cond_estimate is the 2-norm condition number of I - Q_h when a dense
-    oracle has supplied one; the matrix-free path leaves it None.
-    """
+    """Outcome of one profile-shift solve."""
 
     zeta: np.ndarray
     trajectory: Trajectory
@@ -81,7 +77,6 @@ class FredholmReport:
     relative_residual: float
     alpha: float | None
     normalized: Trajectory | None
-    cond_estimate: float | None = None
 
 
 def solve_profile_shift(
@@ -122,10 +117,7 @@ def solve_profile_shift(
             engine, gamma, tol=tol, max_iter=max_iter, restart=restart
         )
 
-    trajectory = propagate(
-        zeta, 0.0, coeffs, grid, timegrid, advection_mode,
-        keep_trajectory=True, stepper=engine,
-    )
+    trajectory = propagate(zeta, 0.0, coeffs, grid, timegrid, advection_mode, stepper=engine)
     defect = trajectory.initial - trajectory.terminal - gamma
     relative_residual = float(
         np.linalg.norm(defect) / gamma_norm if gamma_norm > 0 else np.linalg.norm(defect)
@@ -184,7 +176,7 @@ def _gmres_identity_minus_q(
     return zeta, iterations
 
 
-def normalize(trajectory: Trajectory, grid: Grid | None = None) -> tuple[float, Trajectory]:
+def normalize(trajectory: Trajectory) -> tuple[float, Trajectory]:
     """Scale a trajectory to unit initial mass.
 
     alpha = 1 / integral of u(., 0); the integral is the cell-volume
@@ -192,9 +184,7 @@ def normalize(trajectory: Trajectory, grid: Grid | None = None) -> tuple[float, 
     must be strictly positive for the scaled solution to be a probability
     profile.
     """
-    if grid is None:
-        grid = trajectory.grid
-    mass = float(np.sum(trajectory.initial)) * grid.cell_volume
+    mass = float(np.sum(trajectory.initial)) * trajectory.grid.cell_volume
     if not mass > 0.0:
         raise NonpositiveMass(
             f"initial mass {mass:.3e} is not positive; "

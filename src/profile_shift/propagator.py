@@ -1,9 +1,9 @@
 """Implicit theta-scheme realization of the solution operators.
 
 ``propagate`` is the initial-value solve on [s, T] (the operator sending an
-initial profile to its whole trajectory) and ``apply_Q`` is its restriction
-to the terminal slice, i.e. the time-T propagator whose fixed-point
-structure the Fredholm module inverts.
+initial profile to its whole trajectory, one (N_t+1, M) array) and
+``apply_Q`` is its restriction to the terminal vector, i.e. the time-T
+propagator whose fixed-point structure the Fredholm module inverts.
 
 Each step solves
 
@@ -57,7 +57,8 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.steps
 
-    def time(self, k: int) -> float:
+    def time(self, k):
+        """Time of node k, or of each node in an integer array k."""
         return self.T * k / self.steps
 
     def index_of(self, s: float) -> int:
@@ -69,43 +70,45 @@ class TimeGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class StateSlice:
-    """Solution values on the interior nodes at one time."""
+class Trajectory:
+    """Solution values at the time-grid nodes from the start time to T.
+
+    ``values`` has shape (len(times), M): row j holds the interior values at
+    ``times[j]``.  Both arrays are stored as read-only views, so the rows
+    handed out by ``initial``, ``terminal`` and ``as_array`` cannot be
+    written through.
+    """
 
     values: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Ordered solution slices from the start time to T."""
-
-    slices: tuple[StateSlice, ...]
+    times: np.ndarray
     grid: Grid
     timegrid: TimeGrid
 
+    def __post_init__(self):
+        for name in ("values", "times"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if self.values.shape != (self.times.size, self.grid.size):
+            raise ValueError(
+                f"values must have shape ({self.times.size}, {self.grid.size}), "
+                f"got {self.values.shape}"
+            )
+
     @property
     def initial(self) -> np.ndarray:
-        return self.slices[0].values
+        return self.values[0]
 
     @property
     def terminal(self) -> np.ndarray:
-        return self.slices[-1].values
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.slices])
+        return self.values[-1]
 
     def as_array(self) -> np.ndarray:
-        """Stacked values, shape (num_slices, M)."""
-        return np.stack([s.values for s in self.slices])
+        """The values, shape (num_slices, M), without a copy."""
+        return self.values
 
     def scaled(self, factor: float) -> "Trajectory":
-        return Trajectory(
-            slices=tuple(StateSlice(factor * s.values, s.t) for s in self.slices),
-            grid=self.grid,
-            timegrid=self.timegrid,
-        )
+        return Trajectory(factor * self.values, self.times, self.grid, self.timegrid)
 
 
 class ThetaStepper:
@@ -207,20 +210,34 @@ class ThetaStepper:
     def run(self, values: np.ndarray, start_index: int = 0, keep: bool = False):
         """March a vector (M,) or a block (M, k) from time node start_index to T.
 
-        Returns the terminal values, or the full list of per-node slices when
-        ``keep`` is set; each has the shape of ``values``.  A column of a
-        block march equals the march of that column alone up to the rounding
-        of SuperLU's multi-column BLAS calls: bit for bit on the grids tried
-        up to M = 2209, while at M = 3969 one step solve differed by up to
-        5.6e-17.
+        Returns the terminal values, or with ``keep`` the values at every
+        node from start_index to T stacked along a new first axis.  A column
+        of a block march equals the march of that column alone up to the
+        rounding of SuperLU's multi-column BLAS calls: bit for bit on the
+        grids tried up to M = 2209, while at M = 3969 one step solve differed
+        by up to 5.6e-17.
         """
         v = np.asarray(values, dtype=float)
-        kept = [v.copy()] if keep else None
+        if keep:
+            kept = np.empty((self.timegrid.steps - start_index + 1,) + v.shape)
+            kept[0] = v
         for k in range(start_index, self.timegrid.steps):
             v = self.step_values(v, k)
             if keep:
-                kept.append(v.copy())
+                kept[k - start_index + 1] = v
         return kept if keep else v
+
+
+def _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper):
+    """Checked initial data, the start index of s and the stepper to march with."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (grid.size,):
+        raise ValueError(f"initial data must have length {grid.size}, got {xi.shape}")
+    k0 = timegrid.index_of(s)
+    engine = stepper if stepper is not None else ThetaStepper(
+        coeffs, grid, timegrid, advection_mode
+    )
+    return xi, k0, engine
 
 
 def propagate(
@@ -230,33 +247,20 @@ def propagate(
     grid: Grid,
     timegrid: TimeGrid,
     advection_mode: str = "upwind",
-    keep_trajectory: bool = True,
     stepper: ThetaStepper | None = None,
-):
+) -> Trajectory:
     """Solve the initial-value problem on [s, T] with data xi at time s.
 
-    xi may be a StateSlice or a bare vector of interior values.  With
-    ``keep_trajectory`` the full Trajectory is returned; otherwise only
-    the terminal StateSlice (memory-lean mode for operator application).
-    ``s`` must coincide with a time-grid node.
+    xi is the vector of interior values; ``s`` must coincide with a
+    time-grid node.  Returns the Trajectory over the nodes from s to T.
     """
-    if isinstance(xi, StateSlice):
-        xi = xi.values
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (grid.size,):
-        raise ValueError(f"initial data must have length {grid.size}, got {xi.shape}")
-    k0 = timegrid.index_of(s)
-    engine = stepper if stepper is not None else ThetaStepper(
-        coeffs, grid, timegrid, advection_mode
+    xi, k0, engine = _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper)
+    return Trajectory(
+        engine.run(xi, start_index=k0, keep=True),
+        timegrid.time(np.arange(k0, timegrid.steps + 1)),
+        grid,
+        timegrid,
     )
-    if keep_trajectory:
-        values = engine.run(xi, start_index=k0, keep=True)
-        slices = tuple(
-            StateSlice(values=v, t=timegrid.time(k0 + j)) for j, v in enumerate(values)
-        )
-        return Trajectory(slices=slices, grid=grid, timegrid=timegrid)
-    terminal = engine.run(xi, start_index=k0, keep=False)
-    return StateSlice(values=terminal, t=timegrid.T)
 
 
 def apply_Q(
@@ -266,12 +270,10 @@ def apply_Q(
     timegrid: TimeGrid,
     advection_mode: str = "upwind",
     stepper: ThetaStepper | None = None,
-) -> StateSlice:
-    """Apply the time-T propagator: xi at t=0 to the solution slice at t=T."""
-    return propagate(
-        xi, 0.0, coeffs, grid, timegrid, advection_mode,
-        keep_trajectory=False, stepper=stepper,
-    )
+) -> np.ndarray:
+    """Apply the time-T propagator: xi at t=0 to the solution vector at t=T."""
+    xi, k0, engine = _prepare(xi, 0.0, coeffs, grid, timegrid, advection_mode, stepper)
+    return engine.run(xi, start_index=k0)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ class PrincipleReport:
 
 def check_positivity(trajectory: Trajectory, positivity_tol: float = 1e-12) -> PrincipleReport:
     """Scan all slices for entries below -positivity_tol."""
-    values = trajectory.as_array()
+    values = trajectory.values
     dt = trajectory.timegrid.dt
     times = trajectory.times
     late = values[times >= dt - 1e-12 * dt]
@@ -78,11 +78,9 @@ def check_positivity(trajectory: Trajectory, positivity_tol: float = 1e-12) -> P
     )
 
 
-def check_mass(p_trajectory: Trajectory, grid: Grid | None = None) -> float:
+def check_mass(p_trajectory: Trajectory) -> float:
     """Distance of the initial discrete integral from 1."""
-    if grid is None:
-        grid = p_trajectory.grid
-    mass = float(np.sum(p_trajectory.initial)) * grid.cell_volume
+    mass = float(np.sum(p_trajectory.initial)) * p_trajectory.grid.cell_volume
     return abs(mass - 1.0)
 
 

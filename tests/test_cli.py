@@ -283,11 +283,11 @@ class TestSolveCommand:
         coords = grid.coordinates()
         with open(expected, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["x", "y"] + [f"{traj.slices[k].t:.17g}" for k in keep])
+            writer.writerow(["x", "y"] + [f"{traj.times[k]:.17g}" for k in keep])
             for i in range(grid.size):
                 writer.writerow(
                     [f"{c:.17g}" for c in coords[i]]
-                    + [f"{traj.slices[k].values[i]:.17g}" for k in keep]
+                    + [f"{traj.values[k, i]:.17g}" for k in keep]
                 )
         assert path.read_bytes() == expected.read_bytes()
 

@@ -6,7 +6,6 @@ from profile_shift import (
     NonpositiveMass,
     NumericalBreakdown,
     ProfileShift,
-    StateSlice,
     ThetaStepper,
     TimeGrid,
     TooLarge,
@@ -19,6 +18,7 @@ from profile_shift import (
     heat,
     interval,
     normalize,
+    propagate,
     solve_profile_shift,
     spectral_analysis,
     structured_log_spectrum,
@@ -78,9 +78,8 @@ class TestSolve:
         assert report.iterations <= 3
         # the whole trajectory is e^{-t} zeta
         for k in (128, 256, 384):
-            s = report.trajectory.slices[k]
-            expect = np.exp(-s.t) * INV_GAP_1 * np.sin(x)
-            assert np.max(np.abs(s.values - expect)) <= 1e-3
+            expect = np.exp(-report.trajectory.times[k]) * INV_GAP_1 * np.sin(x)
+            assert np.max(np.abs(report.trajectory.values[k] - expect)) <= 1e-3
 
     def test_two_mode_closed_form(self):
         grid = build_grid(interval(0.0, np.pi), [127])
@@ -183,19 +182,32 @@ class TestNormalize:
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=2)
         values = np.full(9, 1.0 / (9 * grid.cell_volume))  # unit mass already
-        slices = tuple(StateSlice(values.copy(), tg.time(k)) for k in range(3))
-        traj = Trajectory(slices=slices, grid=grid, timegrid=tg)
-        alpha, p = normalize(traj, grid)
+        traj = Trajectory(np.tile(values, (3, 1)), tg.time(np.arange(3)), grid, tg)
+        alpha, p = normalize(traj)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         assert p.initial == pytest.approx(values)
 
     def test_nonpositive_mass_rejected(self, grid1d):
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=1)
-        slices = (StateSlice(-np.ones(9), 0.0), StateSlice(-np.ones(9), 1.0))
-        traj = Trajectory(slices=slices, grid=grid, timegrid=tg)
+        traj = Trajectory(-np.ones((2, 9)), [0.0, 1.0], grid, tg)
         with pytest.raises(NonpositiveMass):
             normalize(traj)
+
+    def test_trajectory_is_one_read_only_array(self):
+        grid, _, report = solve_sine(m=31, steps=16)
+        traj = report.trajectory
+        assert not traj.values.flags.writeable
+        with pytest.raises(ValueError):
+            traj.initial[0] = 1.0
+        assert traj.as_array() is traj.values
+        assert np.array_equal(report.normalized.as_array(), report.alpha * traj.as_array())
+        tg = TimeGrid(T=1.0, steps=16, theta=0.5)
+        late = propagate(report.zeta, 0.5, heat(1), grid, tg, "centered")
+        assert late.values.shape == (9, 31)
+        assert np.array_equal(late.times, [tg.time(k) for k in range(8, 17)])
+        with pytest.raises(ValueError):
+            Trajectory(late.values[:, 1:], late.times, grid, tg)
 
 
 class TestDenseOracle:
@@ -216,7 +228,7 @@ class TestDenseOracle:
         q = dense_propagator(heat(1), grid, tg)
         e3 = np.zeros(9)
         e3[3] = 1.0
-        assert q[:, 3] == pytest.approx(apply_Q(e3, heat(1), grid, tg).values)
+        assert q[:, 3] == pytest.approx(apply_Q(e3, heat(1), grid, tg))
 
     def test_blocks_equal_single_column_marches(self, grid1d):
         # 130 = 64 + 64 + 2 columns, so the last block is partial

@@ -8,7 +8,6 @@ from profile_shift import (
     CoefficientField,
     InnerSolveFailure,
     ProfileShift,
-    StateSlice,
     ThetaStepper,
     TimeGrid,
     apply_Q,
@@ -55,14 +54,14 @@ class TestStep:
     def test_zero_is_fixed_point(self, grid1d):
         grid = grid1d(9)
         out = apply_Q(np.zeros(9), heat(1), grid, TimeGrid(T=0.1, steps=1, theta=1.0))
-        assert out.values == pytest.approx(np.zeros(9))
-        assert out.t == pytest.approx(0.1)
+        assert out.shape == (9,)
+        assert out == pytest.approx(np.zeros(9))
 
     def test_scalar_backward_euler(self, grid1d):
         # one node on (0, pi): A_h = [-8/pi^2], so u+ = u / (1 + 8/pi^2)
         grid = grid1d(1)
         out = apply_Q(np.ones(1), heat(1), grid, TimeGrid(T=1.0, steps=1, theta=1.0))
-        assert out.values[0] == pytest.approx(SCALAR_BE, abs=1e-14)
+        assert out[0] == pytest.approx(SCALAR_BE, abs=1e-14)
 
     def test_eigenmode_multiplier(self, grid1d):
         grid = grid1d(15)
@@ -73,7 +72,7 @@ class TestStep:
             mode = np.sin(k * x)
             lam = (4.0 / h**2) * np.sin(k * h / 2.0) ** 2
             out = apply_Q(mode, heat(1), grid, TimeGrid(T=dt, steps=1, theta=1.0))
-            assert out.values == pytest.approx(mode / (1.0 + dt * lam), abs=1e-12)
+            assert out == pytest.approx(mode / (1.0 + dt * lam), abs=1e-12)
 
     def test_inner_refinement_gives_up_on_broken_solver(self):
         # a solver that returns garbage must be caught, not trusted
@@ -133,10 +132,10 @@ class TestPropagate:
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=8)
         traj = propagate(np.ones(9), 0.0, heat(1), grid, tg)
-        assert len(traj.slices) == 9
+        assert traj.values.shape == (9, 9)
         assert traj.times == pytest.approx(np.linspace(0.0, 1.0, 9))
-        assert traj.initial is traj.slices[0].values
-        assert traj.terminal is traj.slices[-1].values
+        assert np.shares_memory(traj.initial, traj.values[0])
+        assert np.shares_memory(traj.terminal, traj.values[-1])
         doubled = traj.scaled(2.0)
         assert doubled.terminal == pytest.approx(2.0 * traj.terminal)
 
@@ -144,17 +143,9 @@ class TestPropagate:
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=8)
         traj = propagate(np.ones(9), 0.5, heat(1), grid, tg)
-        assert len(traj.slices) == 5
-        assert traj.slices[0].t == pytest.approx(0.5)
-        assert traj.slices[-1].t == pytest.approx(1.0)
-
-    def test_accepts_state_slice_input(self, grid1d):
-        grid = grid1d(9)
-        tg = TimeGrid(T=1.0, steps=8)
-        xi = np.sin(grid.coordinates()[:, 0])
-        a = propagate(xi, 0.0, heat(1), grid, tg).terminal
-        b = propagate(StateSlice(xi, 0.0), 0.0, heat(1), grid, tg).terminal
-        assert a == pytest.approx(b)
+        assert len(traj.times) == 5
+        assert traj.times[0] == pytest.approx(0.5)
+        assert traj.times[-1] == pytest.approx(1.0)
 
     def test_rejects_bad_shape_and_time(self, grid1d):
         grid = grid1d(9)
@@ -171,9 +162,9 @@ class TestPropagate:
         xi = rng.standard_normal(31)
         half = TimeGrid(T=0.5, steps=32)
         full = TimeGrid(T=1.0, steps=64)
-        mid = apply_Q(xi, heat(1), grid, half).values
-        two_leg = apply_Q(mid, heat(1), grid, half).values
-        one_leg = apply_Q(xi, heat(1), grid, full).values
+        mid = apply_Q(xi, heat(1), grid, half)
+        two_leg = apply_Q(mid, heat(1), grid, half)
+        one_leg = apply_Q(xi, heat(1), grid, full)
         assert two_leg == pytest.approx(one_leg, abs=1e-12)
 
 
@@ -181,8 +172,8 @@ class TestApplyQ:
     def test_zero(self, grid1d):
         grid = grid1d(9)
         out = apply_Q(np.zeros(9), heat(1), grid, TimeGrid(T=1.0, steps=8))
-        assert out.values == pytest.approx(np.zeros(9))
-        assert out.t == pytest.approx(1.0)
+        assert out.shape == (9,)
+        assert out == pytest.approx(np.zeros(9))
 
     def test_linearity(self, grid1d, rng):
         grid = grid1d(31)
@@ -192,10 +183,10 @@ class TestApplyQ:
             x = rng.standard_normal(31)
             y = rng.standard_normal(31)
             a, b = rng.standard_normal(2)
-            lhs = apply_Q(a * x + b * y, heat(1), grid, tg, stepper=stepper).values
+            lhs = apply_Q(a * x + b * y, heat(1), grid, tg, stepper=stepper)
             rhs = (
-                a * apply_Q(x, heat(1), grid, tg, stepper=stepper).values
-                + b * apply_Q(y, heat(1), grid, tg, stepper=stepper).values
+                a * apply_Q(x, heat(1), grid, tg, stepper=stepper)
+                + b * apply_Q(y, heat(1), grid, tg, stepper=stepper)
             )
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 

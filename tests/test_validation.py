@@ -3,7 +3,6 @@ import pytest
 
 from profile_shift import (
     ProfileShift,
-    StateSlice,
     TimeGrid,
     Trajectory,
     UnknownCase,
@@ -29,11 +28,8 @@ EXP_M1 = 0.36787944117144233
 
 def hand_trajectory(grid, tg, profile):
     """Trajectory whose slice at t is exp(-t) * profile (first heat mode)."""
-    slices = tuple(
-        StateSlice(np.exp(-tg.time(k)) * profile, tg.time(k))
-        for k in range(tg.steps + 1)
-    )
-    return Trajectory(slices=slices, grid=grid, timegrid=tg)
+    times = tg.time(np.arange(tg.steps + 1))
+    return Trajectory(np.exp(-times)[:, None] * profile, times, grid, tg)
 
 
 class TestFixedShift:
@@ -80,8 +76,8 @@ class TestPositivity:
         values = np.ones(9)
         bad = values.copy()
         bad[4] = -1e-6
-        slices = (StateSlice(values, 0.0), StateSlice(bad, 0.5), StateSlice(values, 1.0))
-        report = check_positivity(Trajectory(slices, grid, tg))
+        traj = Trajectory(np.stack([values, bad, values]), [0.0, 0.5, 1.0], grid, tg)
+        report = check_positivity(traj)
         assert report.violation_count >= 1
         assert not report.passed
         assert report.min_value_global == pytest.approx(-1e-6)
@@ -94,7 +90,7 @@ class TestPositivity:
         grid = grid1d(5)
         tg = TimeGrid(T=1.0, steps=1)
         noisy = np.array([1.0, -1e-13, 1.0, 1.0, 1.0])
-        traj = Trajectory((StateSlice(noisy, 0.0), StateSlice(noisy, 1.0)), grid, tg)
+        traj = Trajectory(np.stack([noisy, noisy]), [0.0, 1.0], grid, tg)
         assert check_positivity(traj).violation_count == 0
         assert check_positivity(traj, positivity_tol=1e-14).violation_count == 2
 
