@@ -45,6 +45,7 @@ from .fredholm import (
 from .grid import Domain, Grid, build_grid
 from .operators import (
     ADVECTION_MODES,
+    CoefficientField,
     absorb,
     anisotropic,
     drift,
@@ -73,25 +74,20 @@ ORACLE_AGREEMENT_TOL = 1e-8
 MASS_TOL = 1e-12
 CSV_BLOCK_ROWS = 32  # trajectory CSV rows formatted per write
 
-_TOP_KEYS = {
-    "domain", "resolution", "T", "N_t", "theta", "advection_mode",
-    "coefficients", "gamma", "solver", "outputs",
-}
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Fully validated experiment description with defaults applied."""
+    """Fully validated experiment description with defaults applied.
 
-    dimension: int
-    box: tuple[tuple[float, float], ...]
-    mask: np.ndarray | None
-    resolution: tuple[int, ...]
-    T: float
-    steps: int
-    theta: float
+    ``grid``, ``timegrid`` and ``coeffs`` are built once, from the domain,
+    resolution, time and coefficient sections; ``coefficients`` and ``gamma``
+    keep the config's own form for the echo.
+    """
+
+    grid: Grid
+    timegrid: TimeGrid
     advection_mode: str
     coefficients: dict
+    coeffs: CoefficientField
     gamma: dict
     nonneg: bool | None
     tol: float
@@ -102,21 +98,22 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready echo; re-parsing it reproduces this config."""
+        dom = self.grid.domain
         domain: dict = {
-            "dimension": self.dimension,
-            "box": [[lo, hi] for lo, hi in self.box],
+            "dimension": dom.dimension,
+            "box": [[lo, hi] for lo, hi in dom.box],
         }
-        if self.mask is not None:
-            domain["mask"] = self.mask.astype(int).tolist()
+        if dom.mask is not None:
+            domain["mask"] = dom.mask.astype(int).tolist()
         gamma = dict(self.gamma)
         if self.nonneg is not None:
             gamma["nonneg"] = self.nonneg
         return {
             "domain": domain,
-            "resolution": list(self.resolution),
-            "T": self.T,
-            "N_t": self.steps,
-            "theta": self.theta,
+            "resolution": list(self.grid.shape),
+            "T": self.timegrid.T,
+            "N_t": self.timegrid.steps,
+            "theta": self.timegrid.theta,
             "advection_mode": self.advection_mode,
             "coefficients": self.coefficients,
             "gamma": gamma,
@@ -142,6 +139,44 @@ def _as_int(value, field: str) -> int:
     return int(value)
 
 
+def _object(value, field: str, allowed, required=()) -> dict:
+    """Require a JSON object with keys among ``allowed`` and every ``required`` key."""
+    _require(isinstance(value, dict), f"{field} must be an object")
+    unknown = set(value) - set(allowed)
+    _require(not unknown, f"unknown {field} fields: {sorted(unknown)}")
+    for key in required:
+        _require(key in value, f"{field} requires '{key}'")
+    return value
+
+
+def _per_axis(value, field: str, dimension: int) -> list[int]:
+    """An integer for every axis, or a list of one integer per axis."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = [value] * dimension
+    _require(
+        isinstance(value, list) and len(value) == dimension,
+        f"{field} must be an integer or a list of {dimension} integers",
+    )
+    return [_as_int(v, field) for v in value]
+
+
+def _intervals(value, field: str) -> list[tuple[float, float]]:
+    """A list of [lo, hi] number pairs."""
+    _require(
+        isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value),
+        f"{field} must list [lo, hi] pairs",
+    )
+    return [(_as_float(lo, f"{field} lo"), _as_float(hi, f"{field} hi")) for lo, hi in value]
+
+
+def _build(field: str, make, *args):
+    """Return ``make(*args)``; its rejection becomes a ValidationError naming ``field``."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError, ConfigError) as exc:
+        raise ValidationError(f"{field}: {exc}") from exc
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config."""
     try:
@@ -159,75 +194,44 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(data) -> ExperimentConfig:
-    """Validate a config dictionary and apply defaults."""
-    _require(isinstance(data, dict), "config root must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    _require(not unknown, f"unknown config fields: {sorted(unknown)}")
+    """Validate a config dictionary, apply defaults and build its objects.
 
-    _require("domain" in data, "config must contain a 'domain' section")
-    dom = data["domain"]
-    _require(isinstance(dom, dict), "domain must be an object")
-    _require(not set(dom) - {"dimension", "box", "mask"},
-             f"unknown domain fields: {sorted(set(dom) - {'dimension', 'box', 'mask'})}")
-    _require("dimension" in dom, "domain.dimension is required")
-    dimension = _as_int(dom["dimension"], "domain.dimension")
-    _require(dimension in (1, 2), f"domain.dimension must be 1 or 2, got {dimension}")
-    _require("box" in dom, "domain.box is required")
-    box_raw = dom["box"]
-    _require(
-        isinstance(box_raw, list) and len(box_raw) == dimension,
-        f"domain.box must list {dimension} [lo, hi] pairs",
+    Structure and JSON types are checked here.  Value ranges are checked by
+    the constructors that use them (Domain, build_grid, TimeGrid and the
+    coefficient builders); their errors are reported naming the config field.
+    """
+    _object(data, "config", (
+        "domain", "resolution", "T", "N_t", "theta", "advection_mode",
+        "coefficients", "gamma", "solver", "outputs",
+    ), ("domain", "resolution"))
+    dom = _object(data["domain"], "domain", ("dimension", "box", "mask"), ("dimension", "box"))
+    mask = dom.get("mask")
+    if mask is not None:
+        mask = _build("domain.mask", np.asarray, mask, bool)
+    domain = _build(
+        "domain", Domain,
+        _as_int(dom["dimension"], "domain.dimension"),
+        _intervals(dom["box"], "domain.box"),
+        mask,
     )
-    box = []
-    for pair in box_raw:
-        _require(isinstance(pair, list) and len(pair) == 2, "each box entry must be [lo, hi]")
-        lo = _as_float(pair[0], "domain.box lo")
-        hi = _as_float(pair[1], "domain.box hi")
-        _require(hi > lo, f"box interval [{lo}, {hi}] must have positive extent")
-        box.append((lo, hi))
-
-    _require("resolution" in data, "config must contain 'resolution'")
-    res_raw = data["resolution"]
-    if isinstance(res_raw, int) and not isinstance(res_raw, bool):
-        resolution = (res_raw,) * dimension
-    else:
-        _require(
-            isinstance(res_raw, list) and len(res_raw) == dimension,
-            f"resolution must be an integer or a list of {dimension} integers",
-        )
-        resolution = tuple(_as_int(r, "resolution") for r in res_raw)
-    _require(all(r >= 1 for r in resolution), f"resolution must be >= 1, got {resolution}")
-
-    mask = None
-    if dom.get("mask") is not None:
-        try:
-            mask = np.asarray(dom["mask"], dtype=bool)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"domain.mask is not a boolean raster: {exc}") from exc
-        _require(
-            mask.shape == resolution,
-            f"domain.mask shape {mask.shape} must match resolution {resolution}",
-        )
-
-    T = _as_float(data.get("T", 1.0), "T")
-    _require(T > 0, f"T must be positive, got {T}")
-    steps = _as_int(data.get("N_t", 256), "N_t")
-    _require(steps >= 1, f"N_t must be >= 1, got {steps}")
-    theta = _as_float(data.get("theta", 1.0), "theta")
-    _require(0.5 <= theta <= 1.0, f"theta must lie in [0.5, 1], got {theta}")
+    resolution = _per_axis(data["resolution"], "resolution", domain.dimension)
+    grid = _build("resolution", build_grid, domain, resolution)
+    timegrid = _build(
+        "T, N_t, theta", TimeGrid,
+        _as_float(data.get("T", 1.0), "T"),
+        _as_int(data.get("N_t", 256), "N_t"),
+        _as_float(data.get("theta", 1.0), "theta"),
+    )
     advection_mode = data.get("advection_mode", "upwind")
     _require(
         advection_mode in ADVECTION_MODES,
         f"advection_mode must be one of {ADVECTION_MODES}, got {advection_mode!r}",
     )
 
-    coefficients = _check_coefficients(data.get("coefficients", {"preset": "heat"}), dimension)
-    gamma, nonneg = _check_gamma(data.get("gamma", {"eigenfunction": 1}), dimension)
+    coefficients, coeffs = _coefficients(data.get("coefficients", {"preset": "heat"}), grid)
+    gamma, nonneg = _check_gamma(data.get("gamma", {"eigenfunction": 1}), grid.dimension)
 
-    solver = data.get("solver", {})
-    _require(isinstance(solver, dict), "solver must be an object")
-    _require(not set(solver) - {"tol", "max_iter", "restart"},
-             f"unknown solver fields: {sorted(set(solver) - {'tol', 'max_iter', 'restart'})}")
+    solver = _object(data.get("solver", {}), "solver", ("tol", "max_iter", "restart"))
     tol = _as_float(solver.get("tol", 1e-10), "solver.tol")
     _require(tol > 0, f"solver.tol must be positive, got {tol}")
     max_iter = _as_int(solver.get("max_iter", 200), "solver.max_iter")
@@ -235,25 +239,18 @@ def config_from_dict(data) -> ExperimentConfig:
     restart = _as_int(solver.get("restart", 50), "solver.restart")
     _require(restart >= 1, f"solver.restart must be >= 1, got {restart}")
 
-    outputs = data.get("outputs", {})
-    _require(isinstance(outputs, dict), "outputs must be an object")
-    _require(not set(outputs) - {"directory", "slice_stride"},
-             f"unknown outputs fields: {sorted(set(outputs) - {'directory', 'slice_stride'})}")
+    outputs = _object(data.get("outputs", {}), "outputs", ("directory", "slice_stride"))
     out_dir = outputs.get("directory", "out")
     _require(isinstance(out_dir, str) and out_dir, "outputs.directory must be a nonempty string")
     slice_stride = _as_int(outputs.get("slice_stride", 1), "outputs.slice_stride")
     _require(slice_stride >= 1, f"outputs.slice_stride must be >= 1, got {slice_stride}")
 
     return ExperimentConfig(
-        dimension=dimension,
-        box=tuple(box),
-        mask=mask,
-        resolution=resolution,
-        T=T,
-        steps=steps,
-        theta=theta,
+        grid=grid,
+        timegrid=timegrid,
         advection_mode=advection_mode,
         coefficients=coefficients,
+        coeffs=coeffs,
         gamma=gamma,
         nonneg=nonneg,
         tol=tol,
@@ -265,145 +262,85 @@ def config_from_dict(data) -> ExperimentConfig:
 
 
 _PRESET_KEYS = {
-    "heat": set(),
-    "absorb": {"rate"},
-    "drift": {"velocity", "absorption"},
-    "anisotropic": {"axx", "axy", "ayy", "absorption"},
+    "heat": (),
+    "absorb": ("rate",),
+    "drift": ("velocity", "absorption"),
+    "anisotropic": ("axx", "axy", "ayy", "absorption"),
 }
 
 
-def _check_coefficients(spec, dimension: int) -> dict:
+def _coefficients(spec, grid: Grid) -> tuple[dict, CoefficientField]:
+    """Check the coefficients section and build its field on the grid."""
     _require(isinstance(spec, dict), "coefficients must be an object")
-    has_preset = "preset" in spec
-    has_table = "tabulated" in spec
     _require(
-        has_preset != has_table,
+        ("preset" in spec) != ("tabulated" in spec),
         "coefficients must contain exactly one of 'preset' or 'tabulated'",
     )
-    if has_table:
-        tab = spec["tabulated"]
-        _require(isinstance(tab, dict), "coefficients.tabulated must be an object")
-        _require("a" in tab, "coefficients.tabulated requires an 'a' array")
-        _require(not set(tab) - {"a", "f", "q", "delta"},
-                 "coefficients.tabulated allows only a, f, q, delta")
-        return {"tabulated": tab}
+    if "tabulated" in spec:
+        _object(spec, "coefficients", ("tabulated",))
+        tab = _object(spec["tabulated"], "coefficients.tabulated", ("a", "f", "q", "delta"), ("a",))
+        delta = tab.get("delta")
+        coeffs = _build(
+            "coefficients.tabulated", tabulated, grid, tab["a"], tab.get("f"), tab.get("q"),
+            None if delta is None else _as_float(delta, "coefficients.tabulated.delta"),
+        )
+        return {"tabulated": tab}, coeffs
     name = spec["preset"]
-    _require(name in _PRESET_KEYS, f"unknown coefficient preset {name!r}")
-    extra = set(spec) - {"preset"} - _PRESET_KEYS[name]
-    _require(not extra, f"preset {name!r} does not accept fields {sorted(extra)}")
-    if name == "absorb":
-        _require("rate" in spec, "preset 'absorb' requires 'rate'")
-        rate = _as_float(spec["rate"], "coefficients.rate")
-        _require(rate >= 0, f"absorption rate must be >= 0, got {rate}")
-    if name == "drift":
-        _require("velocity" in spec, "preset 'drift' requires 'velocity'")
+    _require(
+        isinstance(name, str) and name in _PRESET_KEYS, f"unknown coefficient preset {name!r}"
+    )
+    keys = _PRESET_KEYS[name]
+    _object(spec, "coefficients", ("preset",) + keys, [k for k in keys if k != "absorption"])
+    value = {
+        k: _as_float(spec[k], f"coefficients.{k}")
+        for k in keys if k in spec and k != "velocity"
+    }
+    absorption = value.get("absorption", 0.0)
+    if name == "heat":
+        make, args = heat, (grid.dimension,)
+    elif name == "absorb":
+        make, args = absorb, (value["rate"], grid.dimension)
+    elif name == "drift":
         vel = spec["velocity"]
         _require(
-            isinstance(vel, list) and len(vel) == dimension,
-            f"drift velocity must be a list of {dimension} numbers",
+            isinstance(vel, list) and len(vel) == grid.dimension,
+            f"drift velocity must be a list of {grid.dimension} numbers",
         )
-        for v in vel:
-            _as_float(v, "coefficients.velocity")
-        if "absorption" in spec:
-            _require(_as_float(spec["absorption"], "coefficients.absorption") >= 0,
-                     "absorption must be >= 0")
-    if name == "anisotropic":
-        _require(dimension == 2, "preset 'anisotropic' is 2D only")
-        for key in ("axx", "axy", "ayy"):
-            _require(key in spec, f"preset 'anisotropic' requires '{key}'")
-            _as_float(spec[key], f"coefficients.{key}")
-        if "absorption" in spec:
-            _require(_as_float(spec["absorption"], "coefficients.absorption") >= 0,
-                     "absorption must be >= 0")
-    return dict(spec)
+        make, args = drift, ([_as_float(v, "coefficients.velocity") for v in vel], absorption)
+    else:
+        _require(grid.dimension == 2, "preset 'anisotropic' is 2D only")
+        make, args = anisotropic, (value["axx"], value["axy"], value["ayy"], absorption)
+    return dict(spec), _build("coefficients", make, *args)
 
 
 def _check_gamma(spec, dimension: int):
-    _require(isinstance(spec, dict), "gamma must be an object")
+    _object(spec, "gamma", ("eigenfunction", "indicator", "table", "nonneg"))
     forms = [k for k in ("eigenfunction", "indicator", "table") if k in spec]
     _require(
         len(forms) == 1,
         f"gamma must contain exactly one of eigenfunction/indicator/table, got {forms}",
     )
-    _require(not set(spec) - {"eigenfunction", "indicator", "table", "nonneg"},
-             "gamma allows only eigenfunction/indicator/table plus nonneg")
     nonneg = spec.get("nonneg")
     if nonneg is not None:
         _require(isinstance(nonneg, bool), "gamma.nonneg must be a boolean")
     form = forms[0]
     if form == "eigenfunction":
-        k = spec["eigenfunction"]
-        if isinstance(k, int) and not isinstance(k, bool):
-            ks = [k] * dimension
-        else:
-            _require(
-                isinstance(k, list) and len(k) == dimension,
-                f"gamma.eigenfunction must be an integer or a list of {dimension} integers",
-            )
-            ks = [_as_int(v, "gamma.eigenfunction") for v in k]
+        ks = _per_axis(spec["eigenfunction"], "gamma.eigenfunction", dimension)
         _require(all(v >= 1 for v in ks), f"eigenfunction indices must be >= 1, got {ks}")
-        body = {"eigenfunction": ks if isinstance(k, list) else k}
     elif form == "indicator":
-        ind = spec["indicator"]
-        _require(isinstance(ind, dict) and "box" in ind, "gamma.indicator requires a 'box'")
-        _require(not set(ind) - {"box", "value"}, "gamma.indicator allows only box and value")
-        bx = ind["box"]
-        _require(
-            isinstance(bx, list) and len(bx) == dimension,
-            f"indicator box must list {dimension} [lo, hi] pairs",
-        )
-        for pair in bx:
-            _require(isinstance(pair, list) and len(pair) == 2,
-                     "each indicator box entry must be [lo, hi]")
-            lo = _as_float(pair[0], "gamma.indicator lo")
-            hi = _as_float(pair[1], "gamma.indicator hi")
+        ind = _object(spec["indicator"], "gamma.indicator", ("box", "value"), ("box",))
+        bx = _intervals(ind["box"], "gamma.indicator.box")
+        _require(len(bx) == dimension, f"indicator box must list {dimension} [lo, hi] pairs")
+        for lo, hi in bx:
             _require(hi > lo, f"indicator interval [{lo}, {hi}] must have positive extent")
         if "value" in ind:
             _as_float(ind["value"], "gamma.indicator.value")
-        body = {"indicator": ind}
     else:
         table = spec["table"]
         _require(isinstance(table, list) and table, "gamma.table must be a nonempty list")
         for v in table:
             _as_float(v, "gamma.table entry")
-        body = {"table": table}
-    return body, nonneg
-
-
-def build_problem(config: ExperimentConfig):
-    """Materialize (domain, grid, coefficients, timegrid) from a config."""
-    domain = Domain(config.dimension, config.box, config.mask)
-    grid = build_grid(domain, config.resolution)
-    coeffs = _build_coefficients(config, grid)
-    timegrid = TimeGrid(T=config.T, steps=config.steps, theta=config.theta)
-    return domain, grid, coeffs, timegrid
-
-
-def _build_coefficients(config: ExperimentConfig, grid: Grid | None):
-    spec = config.coefficients
-    if "tabulated" in spec:
-        tab = spec["tabulated"]
-        try:
-            return tabulated(
-                grid,
-                np.asarray(tab["a"], dtype=float),
-                None if tab.get("f") is None else np.asarray(tab["f"], dtype=float),
-                None if tab.get("q") is None else np.asarray(tab["q"], dtype=float),
-                None if tab.get("delta") is None else float(tab["delta"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"tabulated coefficients do not fit the grid: {exc}") from exc
-    name = spec["preset"]
-    if name == "heat":
-        return heat(config.dimension)
-    if name == "absorb":
-        return absorb(float(spec["rate"]), config.dimension)
-    if name == "drift":
-        return drift([float(v) for v in spec["velocity"]], float(spec.get("absorption", 0.0)))
-    return anisotropic(
-        float(spec["axx"]), float(spec["axy"]), float(spec["ayy"]),
-        float(spec.get("absorption", 0.0)),
-    )
+    return {form: spec[form]}, nonneg
 
 
 def gamma_vector(config: ExperimentConfig, grid: Grid) -> np.ndarray:
@@ -545,18 +482,21 @@ def _summary_line(command: str, report: dict, passed: bool) -> str:
     return f"validate: {len(report['checks'])} checks{detail} -> {verdict}"
 
 
-def _cmd_solve(config: ExperimentConfig, out: Path):
-    domain, grid, coeffs, timegrid = build_problem(config)
-    shift = build_shift(config, grid)
-    stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
-    result = solve_profile_shift(
-        shift, coeffs, grid, timegrid, config.advection_mode,
-        tol=config.tol, max_iter=config.max_iter, restart=config.restart,
-        stepper=stepper,
+def _solve(config: ExperimentConfig, shift: ProfileShift, stepper: ThetaStepper):
+    """Solve the configured problem for one shift with the configured GMRES settings."""
+    return solve_profile_shift(
+        shift, config.coeffs, config.grid, config.timegrid, config.advection_mode,
+        tol=config.tol, max_iter=config.max_iter, restart=config.restart, stepper=stepper,
     )
+
+
+def _cmd_solve(config: ExperimentConfig, out: Path):
+    shift = build_shift(config, config.grid)
+    stepper = ThetaStepper(config.coeffs, config.grid, config.timegrid, config.advection_mode)
+    result = _solve(config, shift, stepper)
     shift_check = check_fixed_shift(result.trajectory, shift.gamma, config.tol)
     report = {
-        "M": grid.size,
+        "M": config.grid.size,
         "m_matrix_certified": stepper.m_matrix_certified,
         "iterations": result.iterations,
         "relative_residual": result.relative_residual,
@@ -595,16 +535,12 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
 
 
 def _cmd_oracle(config: ExperimentConfig, out: Path):
-    domain, grid, coeffs, timegrid = build_problem(config)
+    grid, coeffs, timegrid = config.grid, config.coeffs, config.timegrid
     shift = build_shift(config, grid)
     stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
     q = dense_propagator(coeffs, grid, timegrid, config.advection_mode, stepper=stepper)
     zeta_dense = np.linalg.solve(np.eye(grid.size) - q, shift.gamma)
-    result = solve_profile_shift(
-        shift, coeffs, grid, timegrid, config.advection_mode,
-        tol=config.tol, max_iter=config.max_iter, restart=config.restart,
-        stepper=stepper,
-    )
+    result = _solve(config, shift, stepper)
     denom = max(float(np.linalg.norm(zeta_dense)), 1e-30)
     agreement = float(np.linalg.norm(result.zeta - zeta_dense)) / denom
     spectral = spectral_analysis(q)
@@ -622,7 +558,7 @@ def _cmd_oracle(config: ExperimentConfig, out: Path):
 
 
 def _cmd_spectrum(config: ExperimentConfig, out: Path):
-    domain, grid, coeffs, timegrid = build_problem(config)
+    grid, coeffs, timegrid = config.grid, config.coeffs, config.timegrid
     q = dense_propagator(coeffs, grid, timegrid, config.advection_mode)
     spectral = spectral_analysis(q)
     log10_cond = spectral.log10_cond_Q
@@ -656,13 +592,10 @@ def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
         )
     if resolutions is None:
         resolutions = (15, 31, 63)
-    domain = Domain(config.dimension, config.box, config.mask)
-    # Preset coefficients are grid-free; the grid argument is only consulted
-    # by the tabulated branch, which was rejected above.
-    coeffs = _build_coefficients(config, None)
+    timegrid = config.timegrid
     posedness = compare_posedness(
-        coeffs, domain, config.T, resolutions,
-        steps=config.steps, theta=config.theta, advection_mode=config.advection_mode,
+        config.coeffs, config.grid.domain, timegrid.T, resolutions,
+        steps=timegrid.steps, theta=timegrid.theta, advection_mode=config.advection_mode,
     )
     report = {
         "records": [
@@ -681,18 +614,19 @@ def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
 
 def _derive_case(config: ExperimentConfig) -> str:
     """Map a config onto a registered closed-form case, or refuse."""
+    domain = config.grid.domain
     on_pi_box = all(
-        abs(lo) <= 1e-12 and abs(hi - np.pi) <= 1e-9 for lo, hi in config.box
+        abs(lo) <= 1e-12 and abs(hi - np.pi) <= 1e-9 for lo, hi in domain.box
     )
-    if not on_pi_box or config.mask is not None:
+    if not on_pi_box or domain.mask is not None:
         raise UnknownCase(
             "convergence studies require the unmasked box (0, pi) per axis"
         )
     spec = config.coefficients
     preset = spec.get("preset")
     if preset == "heat":
-        return "heat1d" if config.dimension == 1 else "heat2d"
-    if preset == "absorb" and config.dimension == 1 and float(spec["rate"]) == 1.0:
+        return "heat1d" if domain.dimension == 1 else "heat2d"
+    if preset == "absorb" and domain.dimension == 1 and float(spec["rate"]) == 1.0:
         return "heat1d-absorb"
     raise UnknownCase(
         "no closed form registered for this configuration; supported: "
@@ -705,10 +639,10 @@ def _cmd_convergence(config: ExperimentConfig, out: Path, resolutions):
     study = convergence_study(
         case,
         resolutions=resolutions if resolutions is not None else (15, 31, 63),
-        theta_temporal=config.theta,
-        T=config.T,
+        theta_temporal=config.timegrid.theta,
+        T=config.timegrid.T,
     )
-    expect_temporal = 1.8 if config.theta <= 0.75 else 0.9
+    expect_temporal = 1.8 if config.timegrid.theta <= 0.75 else 0.9
     passed = study.spatial_order >= 1.9 and study.temporal_order >= expect_temporal
     report = {
         "case": study.case,
@@ -730,8 +664,8 @@ def _cmd_convergence(config: ExperimentConfig, out: Path, resolutions):
 
 
 def _cmd_validate(config: ExperimentConfig, out: Path):
-    domain, grid, coeffs, timegrid = build_problem(config)
-    samples = [0.0, config.T / 2.0, config.T]
+    grid, coeffs, timegrid = config.grid, config.coeffs, config.timegrid
+    samples = [0.0, timegrid.T / 2.0, timegrid.T]
     coefficient_check = validate_coefficients(coeffs, grid, samples)
     stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
     checks = [
@@ -748,11 +682,7 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     ]
 
     shift = build_shift(config, grid)
-    result = solve_profile_shift(
-        shift, coeffs, grid, timegrid, config.advection_mode,
-        tol=config.tol, max_iter=config.max_iter, restart=config.restart,
-        stepper=stepper,
-    )
+    result = _solve(config, shift, stepper)
     shift_check = check_fixed_shift(result.trajectory, shift.gamma, config.tol)
     checks.append({
         "name": "fixed_shift",
@@ -780,11 +710,7 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     worst = 0.0
     for _ in range(5):
         gamma = rng.standard_normal(grid.size)
-        trial = solve_profile_shift(
-            ProfileShift(gamma), coeffs, grid, timegrid, config.advection_mode,
-            tol=config.tol, max_iter=config.max_iter, restart=config.restart,
-            stepper=stepper,
-        )
+        trial = _solve(config, ProfileShift(gamma), stepper)
         worst = max(worst, check_fixed_shift(trial.trajectory, gamma, config.tol).residual)
     checks.append({
         "name": "random_shifts",
@@ -792,7 +718,7 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
         "detail": {"trials": 5, "worst_residual": worst, "tol": config.tol},
     })
 
-    if stepper.m_matrix_certified and config.theta == 1.0:
+    if stepper.m_matrix_certified and timegrid.theta == 1.0:
         # one (M, 3) block march; the draws equal three standard_normal(M) calls
         x = rng.standard_normal((3, grid.size)).T
         growth = np.abs(stepper.run(x)).max(axis=0) / np.abs(x).max(axis=0)

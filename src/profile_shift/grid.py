@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BadResolution, EmptyInterior
 
@@ -39,6 +37,8 @@ class Domain:
                 f"box must give one interval per axis ({self.dimension}), got {len(box)}"
             )
         for lo, hi in box:
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise BadResolution(f"box interval ({lo}, {hi}) must have finite endpoints")
             if not hi > lo:
                 raise BadResolution(f"box interval ({lo}, {hi}) has nonpositive extent")
         object.__setattr__(self, "box", box)
@@ -115,28 +115,6 @@ class Grid:
         padded = np.pad(self.index_map, reach, constant_values=-1)
         return padded[tuple((self.nodes + reach + step).T)]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Axis-neighbor adjacency of interior nodes (M x M, symmetric)."""
-        rows, cols = [], []
-        unit = np.eye(self.dimension, dtype=np.int64)
-        for offset in np.concatenate([unit, -unit]):
-            col = self.neighbor(offset)
-            rows.append(np.flatnonzero(col >= 0))
-            cols.append(col[col >= 0])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        data = np.ones(rows.size)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.size, self.size))
-
-    def components(self) -> np.ndarray:
-        """Connected-component label of each interior node."""
-        _, labels = connected_components(self.adjacency(), directed=False)
-        return labels
-
-    def sample(self, func: Callable[[np.ndarray], float]) -> np.ndarray:
-        """Evaluate a function of the physical coordinates at interior nodes."""
-        coords = self.coordinates()
-        return np.array([float(func(x)) for x in coords])
-
 
 def build_grid(domain: Domain, nodes_per_axis: Sequence[int]) -> Grid:
     """Discretize a domain with the given interior-node counts per axis.
@@ -169,7 +147,7 @@ def build_grid(domain: Domain, nodes_per_axis: Sequence[int]) -> Grid:
             raster = np.asarray(domain.mask)
             if raster.shape != counts:
                 raise BadResolution(
-                    f"mask raster shape {raster.shape} does not match grid shape {counts}"
+                    f"mask shape {raster.shape} does not match grid shape {counts}"
                 )
             inside = raster.astype(bool)
 

@@ -54,10 +54,11 @@ class CoefficientField:
 
 def _constant(a: np.ndarray, f: np.ndarray, q: float) -> CoefficientField:
     """Field with the same a, f and q at every (x, t); delta = lambda_min(a)."""
-    if q < 0:
-        raise NegativeAbsorption(f"absorption rate must be >= 0, got {q}")
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
+    _require_finite((("a", a[None]), ("f", f[None])), lambda i: "every point")
+    if not q >= 0:  # a NaN q fails too
+        raise NegativeAbsorption(f"absorption rate must be >= 0, got {q}")
     q = float(q)
     return CoefficientField(
         dimension=f.shape[0],

@@ -46,8 +46,8 @@ class TimeGrid:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:  # a NaN T fails too
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"need at least one time step, got {self.steps}")
         if not 0.5 <= self.theta <= 1.0:

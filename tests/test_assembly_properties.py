@@ -108,4 +108,10 @@ def test_adjacency_is_heat_off_diagonal_pattern(problem):
     generator = assemble(heat(len(shape)), grid, 0.0).matrix.toarray()
     pattern = generator != 0.0
     np.fill_diagonal(pattern, False)
-    assert np.array_equal(grid.adjacency().toarray() != 0.0, pattern)
+    adjacency = np.zeros_like(pattern)
+    unit = np.eye(len(shape), dtype=np.int64)
+    for offset in np.concatenate([unit, -unit]):
+        col = grid.neighbor(offset)
+        rows = np.flatnonzero(col >= 0)
+        adjacency[rows, col[rows]] = True
+    assert np.array_equal(adjacency, pattern)

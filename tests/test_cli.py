@@ -59,9 +59,7 @@ class TestParseConfig:
             "resolution": 31,
         }))
         cfg = parse_config(path)
-        assert cfg.T == 1.0
-        assert cfg.steps == 256
-        assert cfg.theta == 1.0
+        assert cfg.timegrid == TimeGrid(T=1.0, steps=256, theta=1.0)
         assert cfg.advection_mode == "upwind"
         assert cfg.coefficients == {"preset": "heat"}
         assert cfg.gamma == {"eigenfunction": 1}
@@ -77,7 +75,7 @@ class TestParseConfig:
             "domain": {"dimension": 2, "box": [[0.0, PI], [0.0, PI]]},
             "resolution": 15,
         })
-        assert cfg.resolution == (15, 15)
+        assert cfg.grid.shape == (15, 15)
 
     def test_round_trip_through_to_dict(self):
         mask = [[1, 1, 1], [1, 0, 1], [1, 1, 1]]
@@ -333,6 +331,29 @@ class TestExitCodes:
         path = write_config(tmp_path, theta=0.3)
         assert main(["solve", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides, field, cause", [
+        ("solve", {"T": math.inf}, "T", "finite and positive"),
+        ("posedness", {"T": math.inf}, "T", "finite and positive"),
+        ("solve", {"domain": {"dimension": 1, "box": [[0.0, math.inf]]}},
+         "domain", "finite endpoints"),
+        ("solve", {"domain": {"dimension": 2, "box": [[0.0, PI], [0.0, PI]]}, "resolution": 7,
+                   "coefficients": {"preset": "anisotropic", "axx": math.nan, "axy": 0.0,
+                                    "ayy": 1.0}},
+         "coefficients", "coefficient a is not finite"),
+        ("solve", {"coefficients": {"preset": "absorb", "rate": math.nan}},
+         "coefficients", "absorption rate must be >= 0"),
+        ("solve", {"coefficients": {"preset": ["heat"]}}, "unknown coefficient preset", "heat"),
+        ("solve", {"coefficients": {"tabulated": {"a": [1.0] * 63}, "rate": 1.0}},
+         "unknown coefficients fields", "rate"),
+    ], ids=["T-inf-solve", "T-inf-posedness", "box-inf", "axx-nan", "rate-nan", "preset-list",
+            "tabulated-extra-field"])
+    def test_config_value_error_names_field(self, tmp_path, capsys, command, overrides,
+                                            field, cause):
+        path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}") and cause in err
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2

@@ -96,20 +96,5 @@ def test_degenerate_box_rejected():
         Domain(1, ((1.0, 1.0),))
     with pytest.raises(BadResolution):
         Domain(3, ((0.0, 1.0),) * 3)
-
-
-def test_components_split_domain():
-    # remove a full column: two connected components
-    mask = np.ones((7, 7), dtype=bool)
-    mask[3, :] = False
-    grid = build_grid(box2d(mask=mask), [7, 7])
-    labels = grid.components()
-    assert len(np.unique(labels)) == 2
-    unmasked = build_grid(box2d(), [7, 7])
-    assert len(np.unique(unmasked.components())) == 1
-
-
-def test_sample_matches_coordinates():
-    grid = build_grid(interval(0.0, np.pi), [9])
-    sampled = grid.sample(lambda x: np.sin(x[0]))
-    assert sampled == pytest.approx(np.sin(grid.coordinates()[:, 0]))
+    with pytest.raises(BadResolution, match="finite"):
+        Domain(1, ((0.0, np.inf),))

@@ -270,3 +270,12 @@ class TestCoefficientField:
     def test_nan_delta_rejected(self):
         with pytest.raises(NotElliptic, match="nan"):
             field([[1.0]], [0.0], 0.0, delta=np.nan)
+
+    def test_presets_name_non_finite_input(self):
+        # a NaN axx is named, not reported as a nonpositive ellipticity constant
+        with pytest.raises(ValidationError, match="coefficient a is not finite"):
+            anisotropic(np.nan, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="coefficient f is not finite"):
+            drift([np.inf])
+        with pytest.raises(NegativeAbsorption, match="nan"):
+            absorb(np.nan)

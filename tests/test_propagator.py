@@ -33,8 +33,9 @@ class TestTimeGrid:
         assert tg.index_of(0.5) == 2
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            TimeGrid(T=0.0, steps=4)
+        for T in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                TimeGrid(T, 4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, steps=0)
         with pytest.raises(ValueError):
