@@ -19,7 +19,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +78,9 @@ CSV_BLOCK_ROWS = 32  # trajectory CSV rows formatted per write
 class ExperimentConfig:
     """Fully validated experiment description with defaults applied.
 
-    ``grid``, ``timegrid`` and ``coeffs`` are built once, from the domain,
-    resolution, time and coefficient sections; ``coefficients`` and ``gamma``
-    keep the config's own form for the echo.
+    ``grid``, ``timegrid``, ``coeffs`` and ``shift`` are built once, from the
+    domain, resolution, time, coefficient and gamma sections;
+    ``coefficients`` and ``gamma`` keep the config's own form for the echo.
     """
 
     grid: Grid
@@ -89,7 +89,7 @@ class ExperimentConfig:
     coefficients: dict
     coeffs: CoefficientField
     gamma: dict
-    nonneg: bool | None
+    shift: ProfileShift
     tol: float
     max_iter: int
     restart: int
@@ -105,9 +105,6 @@ class ExperimentConfig:
         }
         if dom.mask is not None:
             domain["mask"] = dom.mask.astype(int).tolist()
-        gamma = dict(self.gamma)
-        if self.nonneg is not None:
-            gamma["nonneg"] = self.nonneg
         return {
             "domain": domain,
             "resolution": list(self.grid.shape),
@@ -116,7 +113,7 @@ class ExperimentConfig:
             "theta": self.timegrid.theta,
             "advection_mode": self.advection_mode,
             "coefficients": self.coefficients,
-            "gamma": gamma,
+            "gamma": self.gamma,
             "solver": {"tol": self.tol, "max_iter": self.max_iter, "restart": self.restart},
             "outputs": {"directory": self.out_dir, "slice_stride": self.slice_stride},
         }
@@ -198,7 +195,8 @@ def config_from_dict(data) -> ExperimentConfig:
 
     Structure and JSON types are checked here.  Value ranges are checked by
     the constructors that use them (Domain, build_grid, TimeGrid and the
-    coefficient builders); their errors are reported naming the config field.
+    coefficient builders, ProfileShift); their errors are reported naming the
+    config field.
     """
     _object(data, "config", (
         "domain", "resolution", "T", "N_t", "theta", "advection_mode",
@@ -229,7 +227,7 @@ def config_from_dict(data) -> ExperimentConfig:
     )
 
     coefficients, coeffs = _coefficients(data.get("coefficients", {"preset": "heat"}), grid)
-    gamma, nonneg = _check_gamma(data.get("gamma", {"eigenfunction": 1}), grid.dimension)
+    gamma, shift = _gamma(data.get("gamma", {"eigenfunction": 1}), grid)
 
     solver = _object(data.get("solver", {}), "solver", ("tol", "max_iter", "restart"))
     tol = _as_float(solver.get("tol", 1e-10), "solver.tol")
@@ -252,7 +250,7 @@ def config_from_dict(data) -> ExperimentConfig:
         coefficients=coefficients,
         coeffs=coeffs,
         gamma=gamma,
-        nonneg=nonneg,
+        shift=shift,
         tol=tol,
         max_iter=max_iter,
         restart=restart,
@@ -313,7 +311,12 @@ def _coefficients(spec, grid: Grid) -> tuple[dict, CoefficientField]:
     return dict(spec), _build("coefficients", make, *args)
 
 
-def _check_gamma(spec, dimension: int):
+def _gamma(spec, grid: Grid) -> tuple[dict, ProfileShift]:
+    """Check the gamma section and build its ProfileShift on the grid's interior nodes.
+
+    Without an explicit ``nonneg`` the probability path is taken exactly when
+    gamma is nonnegative and nontrivial.
+    """
     _object(spec, "gamma", ("eigenfunction", "indicator", "table", "nonneg"))
     forms = [k for k in ("eigenfunction", "indicator", "table") if k in spec]
     _require(
@@ -321,65 +324,40 @@ def _check_gamma(spec, dimension: int):
         f"gamma must contain exactly one of eigenfunction/indicator/table, got {forms}",
     )
     nonneg = spec.get("nonneg")
-    if nonneg is not None:
-        _require(isinstance(nonneg, bool), "gamma.nonneg must be a boolean")
+    _require(nonneg is None or isinstance(nonneg, bool), "gamma.nonneg must be a boolean")
     form = forms[0]
+    echo = {form: spec[form]}
+    coords = grid.coordinates()
     if form == "eigenfunction":
-        ks = _per_axis(spec["eigenfunction"], "gamma.eigenfunction", dimension)
+        ks = _per_axis(spec["eigenfunction"], "gamma.eigenfunction", grid.dimension)
         _require(all(v >= 1 for v in ks), f"eigenfunction indices must be >= 1, got {ks}")
+        gamma = np.ones(grid.size)
+        for k, (lo, hi), x in zip(ks, grid.domain.box, coords.T):
+            gamma *= np.sin(k * np.pi * (x - lo) / (hi - lo))
     elif form == "indicator":
         ind = _object(spec["indicator"], "gamma.indicator", ("box", "value"), ("box",))
         bx = _intervals(ind["box"], "gamma.indicator.box")
-        _require(len(bx) == dimension, f"indicator box must list {dimension} [lo, hi] pairs")
-        for lo, hi in bx:
+        _require(
+            len(bx) == grid.dimension, f"indicator box must list {grid.dimension} [lo, hi] pairs"
+        )
+        inside = np.ones(grid.size, dtype=bool)
+        for (lo, hi), x in zip(bx, coords.T):
             _require(hi > lo, f"indicator interval [{lo}, {hi}] must have positive extent")
-        if "value" in ind:
-            _as_float(ind["value"], "gamma.indicator.value")
+            inside &= (x >= lo) & (x <= hi)
+        gamma = _as_float(ind.get("value", 1.0), "gamma.indicator.value") * inside.astype(float)
     else:
         table = spec["table"]
         _require(isinstance(table, list) and table, "gamma.table must be a nonempty list")
-        for v in table:
-            _as_float(v, "gamma.table entry")
-    return {form: spec[form]}, nonneg
-
-
-def gamma_vector(config: ExperimentConfig, grid: Grid) -> np.ndarray:
-    """Evaluate the configured gamma on the interior nodes."""
-    spec = config.gamma
-    coords = grid.coordinates()
-    if "eigenfunction" in spec:
-        k = spec["eigenfunction"]
-        ks = [k] * grid.dimension if isinstance(k, int) else list(k)
-        out = np.ones(grid.size)
-        for axis, (lo, hi) in enumerate(grid.domain.box):
-            length = hi - lo
-            out *= np.sin(ks[axis] * np.pi * (coords[:, axis] - lo) / length)
-        return out
-    if "indicator" in spec:
-        ind = spec["indicator"]
-        value = float(ind.get("value", 1.0))
-        inside = np.ones(grid.size, dtype=bool)
-        for axis, (lo, hi) in enumerate(ind["box"]):
-            inside &= (coords[:, axis] >= lo) & (coords[:, axis] <= hi)
-        return value * inside.astype(float)
-    table = np.asarray(spec["table"], dtype=float).ravel()
-    if table.size != grid.size:
-        raise ValidationError(
-            f"gamma.table has {table.size} entries but the grid has {grid.size} interior nodes"
+        gamma = np.array([_as_float(v, "gamma.table entry") for v in table])
+        _require(
+            gamma.size == grid.size,
+            f"gamma.table has {gamma.size} entries but the grid has {grid.size} interior nodes",
         )
-    return table
-
-
-def build_shift(config: ExperimentConfig, grid: Grid) -> ProfileShift:
-    gamma = gamma_vector(config, grid)
-    nonneg = config.nonneg
     if nonneg is None:
-        # Auto-detect the probability path: nonnegative nontrivial gamma.
         nonneg = bool(np.all(gamma >= 0.0) and np.any(gamma > 0.0))
-    try:
-        return ProfileShift(gamma, nonneg=nonneg)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    else:
+        echo["nonneg"] = nonneg
+    return echo, _build("gamma", ProfileShift, gamma, nonneg)
 
 
 @dataclass(frozen=True)
@@ -414,7 +392,7 @@ def run(config: ExperimentConfig, command: str, resolutions=None, quiet: bool = 
     else:
         report, passed, artifacts = handler(config, out)
 
-    report = _jsonable({"command": command, "passed": passed, **report})
+    report = {"command": command, "passed": passed, **_jsonable(report)}
     report_path = out / "report.json"
     _write_json(report_path, report)
     artifacts = [report_path] + artifacts
@@ -491,23 +469,16 @@ def _solve(config: ExperimentConfig, shift: ProfileShift, stepper: ThetaStepper)
 
 
 def _cmd_solve(config: ExperimentConfig, out: Path):
-    shift = build_shift(config, config.grid)
     stepper = ThetaStepper(config.coeffs, config.grid, config.timegrid, config.advection_mode)
-    result = _solve(config, shift, stepper)
-    shift_check = check_fixed_shift(result.trajectory, shift.gamma, config.tol)
+    result = _solve(config, config.shift, stepper)
+    shift_check = check_fixed_shift(result.trajectory, config.shift.gamma, config.tol)
     report = {
         "M": config.grid.size,
         "m_matrix_certified": stepper.m_matrix_certified,
         "iterations": result.iterations,
         "relative_residual": result.relative_residual,
         "alpha": result.alpha,
-        "checks": {
-            "fixed_shift": {
-                "residual": shift_check.residual,
-                "tol": shift_check.tol,
-                "passed": shift_check.passed,
-            },
-        },
+        "checks": {"fixed_shift": shift_check},
     }
     passed = shift_check.passed
     artifacts = [out / "trajectory.csv"]
@@ -515,13 +486,7 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
     if result.normalized is not None:
         positivity = check_positivity(result.normalized)
         mass_defect = check_mass(result.normalized)
-        report["checks"]["positivity"] = {
-            "min_value_global": positivity.min_value_global,
-            "min_interior_positive_time": positivity.min_interior_positive_time,
-            "violation_count": positivity.violation_count,
-            "positivity_tol": positivity.positivity_tol,
-            "passed": positivity.passed,
-        }
+        report["checks"]["positivity"] = {**vars(positivity), "passed": positivity.passed}
         report["checks"]["mass"] = {
             "defect": mass_defect,
             "tol": MASS_TOL,
@@ -536,11 +501,10 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
 
 def _cmd_oracle(config: ExperimentConfig, out: Path):
     grid, coeffs, timegrid = config.grid, config.coeffs, config.timegrid
-    shift = build_shift(config, grid)
     stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
     q = dense_propagator(coeffs, grid, timegrid, config.advection_mode, stepper=stepper)
-    zeta_dense = np.linalg.solve(np.eye(grid.size) - q, shift.gamma)
-    result = _solve(config, shift, stepper)
+    zeta_dense = np.linalg.solve(np.eye(grid.size) - q, config.shift.gamma)
+    result = _solve(config, config.shift, stepper)
     denom = max(float(np.linalg.norm(zeta_dense)), 1e-30)
     agreement = float(np.linalg.norm(result.zeta - zeta_dense)) / denom
     spectral = spectral_analysis(q)
@@ -590,6 +554,11 @@ def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
             "posedness sweeps rebuild the grid per resolution; "
             "tabulated coefficients are bound to one grid, use a preset"
         )
+    if config.grid.domain.mask is not None:
+        raise ValidationError(
+            "domain.mask: posedness sweeps rebuild the grid per resolution; "
+            "a mask raster is bound to the config's resolution"
+        )
     if resolutions is None:
         resolutions = (15, 31, 63)
     timegrid = config.timegrid
@@ -597,19 +566,7 @@ def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
         config.coeffs, config.grid.domain, timegrid.T, resolutions,
         steps=timegrid.steps, theta=timegrid.theta, advection_mode=config.advection_mode,
     )
-    report = {
-        "records": [
-            {
-                "M": r.M,
-                "cond_identity_minus_Q": r.cond_identity_minus_Q,
-                "log10_cond_Q": r.log10_cond_Q,
-                "spectral_radius": r.spectral_radius,
-            }
-            for r in posedness.records
-        ],
-        "slope_vs_M2": posedness.slope_vs_M2,
-    }
-    return report, True, []
+    return posedness, True, []
 
 
 def _derive_case(config: ExperimentConfig) -> str:
@@ -644,23 +601,7 @@ def _cmd_convergence(config: ExperimentConfig, out: Path, resolutions):
     )
     expect_temporal = 1.8 if config.timegrid.theta <= 0.75 else 0.9
     passed = study.spatial_order >= 1.9 and study.temporal_order >= expect_temporal
-    report = {
-        "case": study.case,
-        "spatial": [
-            {"M": r.M, "h": r.h, "error_initial": r.error_initial,
-             "error_terminal": r.error_terminal}
-            for r in study.spatial
-        ],
-        "spatial_order": study.spatial_order,
-        "theta_spatial": study.theta_spatial,
-        "temporal": [
-            {"steps": r.steps, "dt": r.dt, "error": r.error} for r in study.temporal
-        ],
-        "temporal_order": study.temporal_order,
-        "theta_temporal": study.theta_temporal,
-        "temporal_order_threshold": expect_temporal,
-    }
-    return report, passed, []
+    return {**vars(study), "temporal_order_threshold": expect_temporal}, passed, []
 
 
 def _cmd_validate(config: ExperimentConfig, out: Path):
@@ -668,22 +609,10 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     samples = [0.0, timegrid.T / 2.0, timegrid.T]
     coefficient_check = validate_coefficients(coeffs, grid, samples)
     stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
-    checks = [
-        {
-            "name": "coefficients",
-            "passed": True,
-            "detail": {
-                "symmetry_defect": coefficient_check.symmetry_defect,
-                "ellipticity_margin": coefficient_check.ellipticity_margin,
-                "min_absorption": coefficient_check.min_absorption,
-                "warnings": list(coefficient_check.warnings),
-            },
-        }
-    ]
+    checks = [{"name": "coefficients", "passed": True, "detail": coefficient_check}]
 
-    shift = build_shift(config, grid)
-    result = _solve(config, shift, stepper)
-    shift_check = check_fixed_shift(result.trajectory, shift.gamma, config.tol)
+    result = _solve(config, config.shift, stepper)
+    shift_check = check_fixed_shift(result.trajectory, config.shift.gamma, config.tol)
     checks.append({
         "name": "fixed_shift",
         "passed": shift_check.passed,
@@ -766,7 +695,9 @@ def _sha256(path: Path) -> str:
 
 
 def _jsonable(obj):
-    """Recursively convert numpy containers/scalars to JSON-native values."""
+    """Recursively convert dataclasses (as their fields) and numpy values to JSON-native ones."""
+    if is_dataclass(obj):
+        obj = vars(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

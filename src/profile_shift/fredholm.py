@@ -32,7 +32,7 @@ from .errors import (
 )
 from .grid import Grid
 from .operators import CoefficientField
-from .propagator import ThetaStepper, TimeGrid, Trajectory, propagate
+from .propagator import ThetaStepper, TimeGrid, Trajectory, _engine, propagate
 
 DENSE_CAP = 4096
 # Identity columns per march in dense_propagator.  Marching the whole
@@ -103,9 +103,7 @@ def solve_profile_shift(
         raise ValueError(
             f"gamma must live on the {grid.size} interior nodes, got {gamma.shape}"
         )
-    engine = stepper if stepper is not None else ThetaStepper(
-        coeffs, grid, timegrid, advection_mode
-    )
+    engine = _engine(coeffs, grid, timegrid, advection_mode, stepper)
 
     gamma_norm = float(np.linalg.norm(gamma))
     if gamma_norm == 0.0:
@@ -214,9 +212,7 @@ def dense_propagator(
         raise TooLarge(
             f"dense propagator needs {m}x{m} storage; cap is {DENSE_CAP} nodes"
         )
-    engine = stepper if stepper is not None else ThetaStepper(
-        coeffs, grid, timegrid, advection_mode
-    )
+    engine = _engine(coeffs, grid, timegrid, advection_mode, stepper)
     columns = np.empty((m, m))
     for start in range(0, m, _BLOCK_COLUMNS):
         stop = min(start + _BLOCK_COLUMNS, m)
@@ -230,8 +226,6 @@ class SpectralReport:
 
     eigenvalues: np.ndarray
     spectral_radius: float
-    sigma_max_Q: float
-    sigma_min_Q: float
     log10_cond_Q: float
     cond_identity_minus_Q: float
 
@@ -265,8 +259,6 @@ def spectral_analysis(q_matrix: np.ndarray) -> SpectralReport:
     return SpectralReport(
         eigenvalues=eigs,
         spectral_radius=float(np.max(np.abs(eigs))),
-        sigma_max_Q=sigma_max,
-        sigma_min_Q=sigma_min,
         log10_cond_Q=log10_cond,
         cond_identity_minus_Q=float(sing_iq[0] / sing_iq[-1]),
     )

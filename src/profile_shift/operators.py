@@ -48,8 +48,10 @@ class CoefficientField:
     time_dependent: bool = False
 
     def __post_init__(self):
-        if not self.delta > 0:  # a NaN delta fails too
-            raise NotElliptic(f"ellipticity constant must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:  # a NaN delta fails too
+            raise NotElliptic(
+                f"ellipticity constant must be finite and positive, got {self.delta}"
+            )
 
 
 def _constant(a: np.ndarray, f: np.ndarray, q: float) -> CoefficientField:

@@ -74,9 +74,9 @@ class Trajectory:
     """Solution values at the time-grid nodes from the start time to T.
 
     ``values`` has shape (len(times), M): row j holds the interior values at
-    ``times[j]``.  Both arrays are stored as read-only views, so the rows
-    handed out by ``initial``, ``terminal`` and ``as_array`` cannot be
-    written through.
+    ``times[j]``, and ``times`` strictly ascend.  Both arrays are stored as
+    read-only views, so the rows handed out by ``initial``, ``terminal`` and
+    ``as_array`` cannot be written through.
     """
 
     values: np.ndarray
@@ -94,6 +94,8 @@ class Trajectory:
                 f"values must have shape ({self.times.size}, {self.grid.size}), "
                 f"got {self.values.shape}"
             )
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError("times must strictly ascend")
 
     @property
     def initial(self) -> np.ndarray:
@@ -234,10 +236,28 @@ def _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper):
     if xi.shape != (grid.size,):
         raise ValueError(f"initial data must have length {grid.size}, got {xi.shape}")
     k0 = timegrid.index_of(s)
-    engine = stepper if stepper is not None else ThetaStepper(
-        coeffs, grid, timegrid, advection_mode
-    )
-    return xi, k0, engine
+    return xi, k0, _engine(coeffs, grid, timegrid, advection_mode, stepper)
+
+
+def _engine(coeffs, grid, timegrid, advection_mode, stepper):
+    """``stepper`` if it was built for this problem, or a new stepper when it is None.
+
+    A stepper marches its own problem, so one built for other coefficients,
+    grid, time grid or advection mode is refused rather than used.
+    """
+    if stepper is None:
+        return ThetaStepper(coeffs, grid, timegrid, advection_mode)
+    differ = [
+        name for name, same in (
+            ("coeffs", stepper.coeffs is coeffs),
+            ("grid", stepper.grid is grid),
+            ("timegrid", stepper.timegrid == timegrid),
+            ("advection_mode", stepper.advection_mode == advection_mode),
+        ) if not same
+    ]
+    if differ:
+        raise ValueError(f"stepper was built for a different {', '.join(differ)}")
+    return stepper
 
 
 def propagate(

@@ -69,7 +69,8 @@ def check_positivity(trajectory: Trajectory, positivity_tol: float = 1e-12) -> P
     values = trajectory.values
     dt = trajectory.timegrid.dt
     times = trajectory.times
-    late = values[times >= dt - 1e-12 * dt]
+    # times ascend, so the slices with t >= dt are a trailing view
+    late = values[np.searchsorted(times, dt - 1e-12 * dt):]
     return PrincipleReport(
         min_value_global=float(values.min()),
         min_interior_positive_time=float(late.min()) if late.size else float("nan"),

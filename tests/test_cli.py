@@ -18,9 +18,7 @@ from profile_shift import (
 )
 from profile_shift.cli import (
     _write_trajectory_csv,
-    build_shift,
     config_from_dict,
-    gamma_vector,
     main,
     parse_config,
     run,
@@ -63,7 +61,7 @@ class TestParseConfig:
         assert cfg.advection_mode == "upwind"
         assert cfg.coefficients == {"preset": "heat"}
         assert cfg.gamma == {"eigenfunction": 1}
-        assert cfg.nonneg is None
+        assert cfg.shift.nonneg is True
         assert cfg.tol == 1e-10
         assert cfg.max_iter == 200
         assert cfg.restart == 50
@@ -153,7 +151,7 @@ class TestGammaVector:
     def test_first_eigenfunction(self):
         grid = self.grid()
         cfg = config_from_dict(base_config())
-        assert gamma_vector(cfg, grid) == pytest.approx(
+        assert cfg.shift.gamma == pytest.approx(
             np.sin(grid.coordinates()[:, 0])
         )
 
@@ -161,10 +159,11 @@ class TestGammaVector:
         grid = build_grid(interval(2.0, 5.0), [31])
         cfg = config_from_dict(base_config(
             domain={"dimension": 1, "box": [[2.0, 5.0]]},
+            resolution=31,
             gamma={"eigenfunction": 2},
         ))
         x = grid.coordinates()[:, 0]
-        assert gamma_vector(cfg, grid) == pytest.approx(
+        assert cfg.shift.gamma == pytest.approx(
             np.sin(2.0 * PI * (x - 2.0) / 3.0)
         )
 
@@ -178,7 +177,7 @@ class TestGammaVector:
             "gamma": {"eigenfunction": [1, 2]},
         })
         coords = grid.coordinates()
-        assert gamma_vector(cfg, grid) == pytest.approx(
+        assert cfg.shift.gamma == pytest.approx(
             np.sin(coords[:, 0]) * np.sin(2.0 * coords[:, 1])
         )
 
@@ -189,36 +188,30 @@ class TestGammaVector:
         ))
         x = grid.coordinates()[:, 0]
         expected = np.where((x >= 1.0) & (x <= 2.0), 3.0, 0.0)
-        assert gamma_vector(cfg, grid) == pytest.approx(expected)
+        assert cfg.shift.gamma == pytest.approx(expected)
 
     def test_table_passthrough_and_length_check(self):
-        grid = self.grid(5)
         values = [0.1, 0.2, 0.3, 0.4, 0.5]
         cfg = config_from_dict(base_config(resolution=5, gamma={"table": values}))
-        assert gamma_vector(cfg, grid) == pytest.approx(values)
-        short = config_from_dict(base_config(resolution=5, gamma={"table": [1.0, 2.0]}))
+        assert cfg.shift.gamma == pytest.approx(values)
         with pytest.raises(ValidationError, match="interior nodes"):
-            gamma_vector(short, grid)
+            config_from_dict(base_config(resolution=5, gamma={"table": [1.0, 2.0]}))
 
 
 class TestBuildShift:
     def test_autodetect_nonneg(self):
-        grid = build_grid(interval(0.0, PI), [63])
         cfg = config_from_dict(base_config())
-        assert build_shift(cfg, grid).nonneg is True
+        assert cfg.shift.nonneg is True
 
     def test_autodetect_mixed_sign(self):
-        grid = build_grid(interval(0.0, PI), [63])
         cfg = config_from_dict(base_config(gamma={"eigenfunction": 2}))
-        assert build_shift(cfg, grid).nonneg is False
+        assert cfg.shift.nonneg is False
 
     def test_explicit_nonneg_conflicts_with_negative_gamma(self):
-        grid = build_grid(interval(0.0, PI), [63])
-        cfg = config_from_dict(base_config(
-            gamma={"eigenfunction": 2, "nonneg": True}
-        ))
         with pytest.raises(ValidationError):
-            build_shift(cfg, grid)
+            config_from_dict(base_config(
+                gamma={"eigenfunction": 2, "nonneg": True}
+            ))
 
 
 class TestSolveCommand:
@@ -346,8 +339,17 @@ class TestExitCodes:
         ("solve", {"coefficients": {"preset": ["heat"]}}, "unknown coefficient preset", "heat"),
         ("solve", {"coefficients": {"tabulated": {"a": [1.0] * 63}, "rate": 1.0}},
          "unknown coefficients fields", "rate"),
+        ("spectrum", {"gamma": {"table": [1.0, 2.0]}}, "gamma.table", "interior nodes"),
+        ("solve", {"gamma": {"eigenfunction": 2, "nonneg": True}}, "gamma", "negative entries"),
+        ("solve", {"coefficients": {"tabulated": {"a": [1.0] * 63, "delta": math.inf}}},
+         "coefficients.tabulated", "finite and positive"),
+        ("posedness", {"domain": {"dimension": 2, "box": [[0.0, PI], [0.0, PI]],
+                                  "mask": [[1, 1, 1], [1, 0, 1], [1, 1, 1]]},
+                       "resolution": 3},
+         "domain.mask", "bound to the config's resolution"),
     ], ids=["T-inf-solve", "T-inf-posedness", "box-inf", "axx-nan", "rate-nan", "preset-list",
-            "tabulated-extra-field"])
+            "tabulated-extra-field", "table-length-spectrum", "nonneg-conflict", "delta-inf",
+            "mask-posedness"])
     def test_config_value_error_names_field(self, tmp_path, capsys, command, overrides,
                                             field, cause):
         path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)

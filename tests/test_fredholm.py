@@ -118,11 +118,12 @@ class TestSolve:
     def test_solution_map_is_linear(self, grid1d, rng):
         grid = grid1d(31)
         tg = TimeGrid(T=1.0, steps=64)
-        stepper = ThetaStepper(heat(1), grid, tg)
+        coeffs = heat(1)
+        stepper = ThetaStepper(coeffs, grid, tg)
 
         def solve(g):
             return solve_profile_shift(
-                ProfileShift(g), heat(1), grid, tg, stepper=stepper
+                ProfileShift(g), coeffs, grid, tg, stepper=stepper
             ).trajectory.as_array()
 
         for _ in range(3):
@@ -148,13 +149,14 @@ class TestSolve:
         # discrete stability estimate: max_t ||u(t)|| <= ||(I-Q)^-1|| ||gamma||
         grid = grid1d(31)
         tg = TimeGrid(T=1.0, steps=64)
-        q = dense_propagator(heat(1), grid, tg)
+        coeffs = heat(1)
+        q = dense_propagator(coeffs, grid, tg)
         opnorm = 1.0 / np.linalg.svd(np.eye(31) - q, compute_uv=False)[-1]
-        stepper = ThetaStepper(heat(1), grid, tg)
+        stepper = ThetaStepper(coeffs, grid, tg)
         for _ in range(10):
             gamma = rng.standard_normal(31)
             traj = solve_profile_shift(
-                ProfileShift(gamma), heat(1), grid, tg, stepper=stepper
+                ProfileShift(gamma), coeffs, grid, tg, stepper=stepper
             ).trajectory
             peak = np.max(np.linalg.norm(traj.as_array(), axis=1))
             assert peak <= opnorm * np.linalg.norm(gamma) * (1.0 + 1e-8)

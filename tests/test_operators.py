@@ -265,6 +265,11 @@ class TestTabulated:
         with pytest.raises(ValidationError, match=r"coefficient f is not finite at node 1"):
             tabulated(grid, np.ones((5, 1, 1)), f_values=[0.0, np.inf, 0.0, 0.0, 0.0])
 
+    def test_infinite_delta_rejected(self, grid1d):
+        grid = grid1d(5)
+        with pytest.raises(NotElliptic, match="finite and positive, got inf"):
+            tabulated(grid, np.ones((5, 1, 1)), delta=np.inf)
+
 
 class TestCoefficientField:
     def test_nan_delta_rejected(self):

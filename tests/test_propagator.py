@@ -10,8 +10,11 @@ from profile_shift import (
     ProfileShift,
     ThetaStepper,
     TimeGrid,
+    Trajectory,
+    absorb,
     apply_Q,
     assemble,
+    dense_propagator,
     drift,
     heat,
     propagate,
@@ -148,6 +151,13 @@ class TestPropagate:
         assert traj.times[0] == pytest.approx(0.5)
         assert traj.times[-1] == pytest.approx(1.0)
 
+    def test_trajectory_times_must_ascend(self, grid1d):
+        grid = grid1d(3)
+        tg = TimeGrid(T=1.0, steps=2)
+        for times in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="strictly ascend"):
+                Trajectory(np.zeros((3, 3)), np.array(times), grid, tg)
+
     def test_rejects_bad_shape_and_time(self, grid1d):
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=8)
@@ -179,15 +189,16 @@ class TestApplyQ:
     def test_linearity(self, grid1d, rng):
         grid = grid1d(31)
         tg = TimeGrid(T=1.0, steps=32)
-        stepper = ThetaStepper(heat(1), grid, tg)
+        coeffs = heat(1)
+        stepper = ThetaStepper(coeffs, grid, tg)
         for _ in range(5):
             x = rng.standard_normal(31)
             y = rng.standard_normal(31)
             a, b = rng.standard_normal(2)
-            lhs = apply_Q(a * x + b * y, heat(1), grid, tg, stepper=stepper)
+            lhs = apply_Q(a * x + b * y, coeffs, grid, tg, stepper=stepper)
             rhs = (
-                a * apply_Q(x, heat(1), grid, tg, stepper=stepper)
-                + b * apply_Q(y, heat(1), grid, tg, stepper=stepper)
+                a * apply_Q(x, coeffs, grid, tg, stepper=stepper)
+                + b * apply_Q(y, coeffs, grid, tg, stepper=stepper)
             )
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
@@ -211,6 +222,32 @@ class TestApplyQ:
         for _ in range(5):
             x = np.abs(rng.standard_normal(grid.size))
             assert stepper.run(x).min() >= -1e-13
+
+
+# Each entry marches with a given stepper: (coeffs, grid, timegrid, mode, stepper).
+STEPPER_CALLS = {
+    "propagate": lambda c, g, tg, mode, s: propagate(np.ones(g.size), 0.0, c, g, tg, mode, s),
+    "apply_Q": lambda c, g, tg, mode, s: apply_Q(np.ones(g.size), c, g, tg, mode, s),
+    "solve_profile_shift": lambda c, g, tg, mode, s: solve_profile_shift(
+        ProfileShift(np.ones(g.size)), c, g, tg, mode, stepper=s
+    ),
+    "dense_propagator": lambda c, g, tg, mode, s: dense_propagator(c, g, tg, mode, s),
+}
+
+
+class TestForeignStepper:
+    @pytest.mark.parametrize("name", sorted(STEPPER_CALLS))
+    def test_stepper_for_another_problem_is_rejected(self, grid1d, name):
+        call = STEPPER_CALLS[name]
+        grid = grid1d(9)
+        coeffs = heat(1)
+        tg = TimeGrid(T=1.0, steps=8)
+        longer = ThetaStepper(coeffs, grid, TimeGrid(T=5.0, steps=8))
+        with pytest.raises(ValueError, match="different timegrid"):
+            call(coeffs, grid, tg, "upwind", longer)
+        other = ThetaStepper(absorb(3.0), grid, tg, "centered")
+        with pytest.raises(ValueError, match="different coeffs, advection_mode"):
+            call(coeffs, grid, tg, "upwind", other)
 
 
 class TestStepperCache:
