@@ -15,7 +15,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import os
 import platform
 import sys
 import time
@@ -711,15 +710,7 @@ def _jsonable(obj):
     return obj
 
 
-def _apply_thread_env():
-    threads = os.environ.get("PROFILE_SHIFT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
-
-
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = argparse.ArgumentParser(
         prog="profile-shift",
         description=(

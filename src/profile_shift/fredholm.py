@@ -10,9 +10,12 @@ which is solved matrix-free with GMRES (each matvec is one full implicit
 time march).  The trajectory is then reconstructed from zeta and scaled to
 unit initial mass, giving the probability-normalized pair (alpha, p).
 
-``dense_propagator`` assembles Q_h by marching blocks of identity columns
-through the identical stepping code; it exists so the iterative route can
-be cross-checked against explicit linear algebra on small grids.
+``dense_propagator`` assembles Q_h from the same stepping engine and its
+per-column check; it exists so the iterative route can be cross-checked
+against explicit linear algebra on small grids.  For time-independent
+coefficients it steps the identity once, giving the one-step matrix S, and
+returns S^N_t, which differs from a march only by the rounding of the
+powers.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .operators import CoefficientField
 from .propagator import ThetaStepper, TimeGrid, Trajectory, _engine, propagate
 
 DENSE_CAP = 4096
-# Identity columns per march in dense_propagator.  Marching the whole
-# identity at once holds several M x M temporaries; 64 columns keep the peak
-# memory of the oracle at that of single-vector marches.
+# Identity columns per march or step in dense_propagator.  The step's
+# temporaries are a few M x 64 blocks, so the oracle's peak stays at the
+# three M x M arrays of the powering (384 MB at DENSE_CAP).
 _BLOCK_COLUMNS = 64
 
 
@@ -199,13 +202,16 @@ def dense_propagator(
     advection_mode: str = "upwind",
     stepper: ThetaStepper | None = None,
 ) -> np.ndarray:
-    """Assemble Q_h as a dense matrix, marching the identity in blocks of columns.
+    """Assemble Q_h as a dense matrix from the iterative solver's stepping engine.
 
-    Deliberately routed through the same stepping engine as the iterative
-    solver (pass ``stepper`` to share its factorizations) so the two answers
-    can only differ by linear-algebra error, not by discretization.  Each
-    march carries up to 64 basis vectors.  Refuses grids above DENSE_CAP
-    nodes.
+    Pass ``stepper`` to share its factorizations.  For time-independent
+    coefficients the identity is stepped once, in blocks of 64 columns, so
+    every column of the one-step matrix S passes the same per-column check
+    as a march; Q_h = S^N_t then follows by binary powering, about
+    2 log2(N_t) matrix products, and differs from a march only by the
+    rounding of those products.  Time-dependent coefficients have no single
+    S, so the identity is marched through all N_t steps in the same blocks.
+    Refuses grids above DENSE_CAP nodes.
     """
     m = grid.size
     if m > DENSE_CAP:
@@ -213,11 +219,41 @@ def dense_propagator(
             f"dense propagator needs {m}x{m} storage; cap is {DENSE_CAP} nodes"
         )
     engine = _engine(coeffs, grid, timegrid, advection_mode, stepper)
+    if coeffs.time_dependent:
+        return _identity_images(engine.run, m)
+    step = _identity_images(lambda block: engine.step_values(block, 0), m)
+    return _power(step, timegrid.steps)
+
+
+def _identity_images(apply, m: int) -> np.ndarray:
+    """The M x M matrix whose column j is apply(e_j), in blocks of columns."""
     columns = np.empty((m, m))
     for start in range(0, m, _BLOCK_COLUMNS):
         stop = min(start + _BLOCK_COLUMNS, m)
-        columns[:, start:stop] = engine.run(np.eye(m, stop - start, -start))
+        columns[:, start:stop] = apply(np.eye(m, stop - start, -start))
     return columns
+
+
+def _power(step: np.ndarray, n: int) -> np.ndarray:
+    """step^n for n >= 1 by right-to-left binary powering; overwrites step.
+
+    Knuth, TAOCP vol. 2, 4.6.3.  The squares are made in step's own buffer
+    and one spare, and the running product in a third, so at most three
+    M x M arrays are alive; np.linalg.matrix_power, which allocates each
+    product, holds four.
+    """
+    square, spare, result = step, np.empty_like(step), None
+    while True:
+        n, bit = divmod(n, 2)
+        if bit and result is None:
+            result = square if n == 0 else square.copy()
+        elif bit:
+            np.matmul(result, square, out=spare)
+            result, spare = spare, result
+        if n == 0:
+            return result
+        np.matmul(square, square, out=spare)
+        square, spare = spare, square
 
 
 @dataclass(frozen=True, eq=False)

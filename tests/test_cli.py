@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -317,6 +318,17 @@ class TestSolveCommand:
         path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")})
         assert main(["solve", "--config", str(path), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
+
+
+class TestEnvironment:
+    def test_thread_variables_are_left_alone(self, tmp_path, monkeypatch):
+        # BLAS reads its thread count when numpy is first imported; the CLI
+        # rewrites no thread variable after that.
+        monkeypatch.setenv("PROFILE_SHIFT_THREADS", "3")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")})
+        assert main(["solve", "--config", str(path), "--quiet"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 class TestExitCodes:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from profile_shift import (
+    CoefficientField,
     NoConvergence,
     NonpositiveMass,
     NumericalBreakdown,
@@ -233,14 +236,49 @@ class TestDenseOracle:
         assert q[:, 3] == pytest.approx(apply_Q(e3, heat(1), grid, tg))
 
     def test_blocks_equal_single_column_marches(self, grid1d):
-        # 130 = 64 + 64 + 2 columns, so the last block is partial
+        # Time-dependent fields are marched; 130 = 64 + 64 + 2 columns, so
+        # the last block is partial.
         grid = grid1d(130)
         tg = TimeGrid(T=1.0, steps=16, theta=0.5)
-        coeffs = drift([1.5], absorption=0.25)
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: np.eye(1),
+            f=lambda x, t: np.array([1.5 * np.cos(t)]),
+            q=lambda x, t: 0.25 * (1.0 + t),
+            delta=1.0,
+            time_dependent=True,
+        )
         stepper = ThetaStepper(coeffs, grid, tg, "centered")
         q = dense_propagator(coeffs, grid, tg, "centered", stepper=stepper)
         expected = np.column_stack([stepper.run(e) for e in np.eye(grid.size)])
         assert np.array_equal(q, expected)
+
+    def test_time_independent_steps_the_identity_once(self, grid1d, monkeypatch):
+        # One step of each of the three blocks of 130 = 64 + 64 + 2 columns;
+        # a march would take 3 * 16 steps.
+        calls = []
+        step_values = ThetaStepper.step_values
+
+        def counted(stepper, values, k):
+            calls.append(k)
+            return step_values(stepper, values, k)
+
+        monkeypatch.setattr(ThetaStepper, "step_values", counted)
+        grid = grid1d(130)
+        dense_propagator(drift([1.5], absorption=0.25), grid, TimeGrid(T=1.0, steps=16))
+        assert calls == [0, 0, 0]
+
+    def test_peak_memory_is_three_matrices(self, grid2d):
+        # np.linalg.matrix_power would hold four M x M arrays at N_t = 511.
+        grid = grid2d(20)
+        tg = TimeGrid(T=1.0, steps=511, theta=0.5)
+        tracemalloc.start()
+        try:
+            dense_propagator(heat(2), grid, tg, "centered")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * grid.size**2 * 8
 
     def test_symmetric_for_pure_diffusion(self, grid1d):
         q = dense_propagator(heat(1), grid1d(15), TimeGrid(T=1.0, steps=32))

@@ -1,4 +1,9 @@
-"""A block march equals its columns marched one at a time, bit for bit."""
+"""Block marches and the dense propagator against column marches.
+
+A block march equals its columns marched one at a time, bit for bit.  The
+dense propagator of a time-independent field, built by powering one step,
+equals the marched identity up to the rounding of the powers.
+"""
 
 import numpy as np
 from hypothesis import given
@@ -11,6 +16,7 @@ from profile_shift import (
     ThetaStepper,
     TimeGrid,
     build_grid,
+    dense_propagator,
 )
 
 
@@ -35,10 +41,10 @@ def fields(a, f, q, time_dependent):
 
 
 @st.composite
-def marches(draw):
-    """(stepper, block, start index, keep)."""
+def steppers(draw, side=(100, 10), time_dependent=st.booleans(), steps=st.integers(1, 6)):
+    """Stepper on a random masked 1D or 2D grid, at most side[dim - 1] nodes a side."""
     dim = draw(st.sampled_from([1, 2]))
-    shape = tuple(draw(st.integers(1, 100 if dim == 1 else 10)) for _ in range(dim))
+    shape = tuple(draw(st.integers(1, side[dim - 1])) for _ in range(dim))
     cells = int(np.prod(shape))
     inside = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
     inside[draw(st.integers(0, cells - 1))] = True
@@ -48,14 +54,21 @@ def marches(draw):
         a[0, 1] = a[1, 0] = draw(st.floats(-0.9, 0.9)) * np.sqrt(diag[0] * diag[1])
     f = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(dim)])
     q = draw(st.floats(0.0, 2.0))
-    coeffs = fields(a, f, q, draw(st.booleans()))
+    coeffs = fields(a, f, q, draw(time_dependent))
     grid = build_grid(Domain(dim, ((0.0, 1.0), (0.0, 2.0))[:dim], inside.reshape(shape)), shape)
     timegrid = TimeGrid(
         T=draw(st.floats(0.05, 2.0)),
-        steps=draw(st.integers(1, 6)),
+        steps=draw(steps),
         theta=draw(st.sampled_from([0.5, 0.75, 1.0])),
     )
-    stepper = ThetaStepper(coeffs, grid, timegrid, draw(st.sampled_from(ADVECTION_MODES)))
+    return ThetaStepper(coeffs, grid, timegrid, draw(st.sampled_from(ADVECTION_MODES)))
+
+
+@st.composite
+def marches(draw):
+    """(stepper, block, start index, keep)."""
+    stepper = draw(steppers())
+    grid, timegrid = stepper.grid, stepper.timegrid
     width = draw(st.integers(1, 5))
     block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
         (grid.size, width)
@@ -73,3 +86,15 @@ def test_block_march_equals_column_marches(march):
     slices = (stepper.timegrid.steps - start + 1,) if keep else ()
     assert got.shape == slices + block.shape
     assert all(np.array_equal(got[..., j], column) for j, column in enumerate(columns))
+
+
+@given(steppers(side=(24, 5), time_dependent=st.just(False), steps=st.integers(1, 512)))
+def test_dense_propagator_equals_marched_identity(stepper):
+    q = dense_propagator(
+        stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode, stepper=stepper
+    )
+    marched = stepper.run(np.eye(stepper.grid.size))
+    # Strong decay can leave all of Q below the smallest normal number,
+    # where neither route keeps relative precision.
+    bound = 1e-12 * np.abs(marched).max() + np.finfo(float).tiny
+    assert np.abs(q - marched).max() <= bound
