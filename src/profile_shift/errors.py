@@ -59,17 +59,30 @@ class InnerSolveFailure(SolverError):
 
 
 class NoConvergence(SolverError):
-    """Outer Krylov iteration hit its iteration cap."""
+    """Outer Krylov iteration hit its iteration cap.
 
-    def __init__(self, iterations: int, residual: float):
+    The message names a cause only where the scheme itself establishes one:
+    under Crank-Nicolson (theta = 1/2) the per-step multiplier of a stiff
+    mode tends to -1, so rho(Q) nears 1 on fine grids with few steps.
+    """
+
+    def __init__(self, iterations: int, residual: float, theta: float):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(
+        self.theta = theta
+        message = (
             f"Krylov iteration did not converge after {iterations} iterations "
-            f"(relative residual {residual:.3e}); the tolerance may be too tight "
-            f"or the generator may violate q >= 0 / stability (possible "
-            f"spectral radius >= 1)"
+            f"(relative residual {residual:.3e})"
         )
+        if theta == 0.5:
+            message += (
+                "; under Crank-Nicolson (theta = 0.5) the per-step multiplier of "
+                "stiff modes tends to -1, so rho(Q) nears 1: raise N_t, or use "
+                "theta > 1/2"
+            )
+        else:
+            message += "; raise max_iter or loosen tol"
+        super().__init__(message)
 
 
 class PostCheckFailure(SolverError):

@@ -173,7 +173,9 @@ def _gmres_identity_minus_q(
         residual = float(
             np.linalg.norm(gamma - matvec(zeta)) / np.linalg.norm(gamma)
         )
-        raise NoConvergence(iterations=iterations, residual=residual)
+        raise NoConvergence(
+            iterations=iterations, residual=residual, theta=engine.timegrid.theta
+        )
     return zeta, iterations
 
 

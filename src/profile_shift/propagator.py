@@ -30,10 +30,11 @@ from .grid import Grid
 from .operators import CoefficientField, DiscreteGenerator, assemble
 
 # Bound on the normwise backward error of one implicit step solve, per
-# column.  SuperLU's step solves measure 0.20-0.44 eps on random right-hand
-# sides (1D heat at n = 255 to 4095, 2D drift at 47 x 47); 16 eps leaves a
-# factor over 35 above that, while a solve that has lost more than four bits
-# still fails.
+# column.  SuperLU's step solves measure at most 0.26 eps on 200 random
+# right-hand sides (1D heat at n = 255, 511, 1023 and 4095, backward Euler
+# with N_t = 1, 64 and 256) and 0.40 eps on 2D drift at 47 x 47; 16 eps
+# leaves a factor near 40 above that, while a solve that has lost more than
+# four bits still fails.
 INNER_BACKWARD_ERROR = 16.0 * np.finfo(float).eps
 
 
@@ -162,7 +163,11 @@ class ThetaStepper:
             if tg.theta != 1.0:
                 explicit = (self._identity + (1.0 - tg.theta) * tg.dt * gen0.matrix).tocsr()
             implicit = (self._identity - tg.theta * tg.dt * gen1.matrix).tocsc()
-            lu = spla.splu(implicit)
+            # The stencils are structurally symmetric, so minimum degree on
+            # the pattern of B^T + B (SuperLU Users' Guide, on column
+            # orderings) fills less than the default COLAMD: the factors hold
+            # 5.5 times the nonzeros of B at 47 x 47, against 9.3.
+            lu = spla.splu(implicit, permc_spec="MMD_AT_PLUS_A")
             implicit_csr = implicit.tocsr()
             # ||B||_1 and ||B||_inf as the largest absolute column and row
             # sums: CSR indices are column numbers, CSC indices row numbers.
@@ -215,9 +220,10 @@ class ThetaStepper:
         Returns the terminal values, or with ``keep`` the values at every
         node from start_index to T stacked along a new first axis.  A column
         of a block march equals the march of that column alone up to the
-        rounding of SuperLU's multi-column BLAS calls: bit for bit on the
-        grids tried up to M = 2209, while at M = 3969 one step solve differed
-        by up to 5.6e-17.
+        rounding of SuperLU's multi-column BLAS calls: on 2D drift, heat and
+        anisotropic grids every step solve tried at M = 2209 and M = 3969
+        was bit for bit equal, while at M = 9025 and M = 16129 a few in a
+        hundred differed, by at most 4.4e-16 on unit-sized data.
         """
         v = np.asarray(values, dtype=float)
         if keep:

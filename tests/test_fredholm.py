@@ -174,6 +174,18 @@ class TestSolve:
             solve_profile_shift(ProfileShift(gamma), heat(1), grid, tg, max_iter=1, restart=1)
         assert info.value.iterations >= 1
         assert info.value.residual > 1e-10
+        # backward Euler establishes no cause, so none is named
+        message = str(info.value)
+        assert "max_iter" in message
+        assert "q >= 0" not in message and "Crank-Nicolson" not in message
+        # Crank-Nicolson names its stiff-mode multiplier and the fixes
+        tg = TimeGrid(T=0.01, steps=4, theta=0.5)
+        with pytest.raises(NoConvergence) as info:
+            solve_profile_shift(ProfileShift(gamma), heat(1), grid, tg, max_iter=1, restart=1)
+        assert info.value.theta == 0.5
+        message = str(info.value)
+        assert "Crank-Nicolson" in message and "tends to -1" in message
+        assert "raise N_t" in message and "theta > 1/2" in message
 
     def test_gamma_shape_checked(self, grid1d):
         with pytest.raises(ValueError):

@@ -101,6 +101,15 @@ class TestStep:
         out = ThetaStepper._check_inner(solve(rhs), rhs, broken, implicit, 1.0)
         assert np.array_equal(out, rhs)
 
+    def test_step_factorization_keeps_fill_low(self, grid2d):
+        # minimum degree on B^T + B gives a fill of 5.51 here; SuperLU's
+        # default COLAMD ordering gives 9.28
+        stepper = ThetaStepper(
+            drift((1.0, -0.6), 0.4), grid2d(47), TimeGrid(T=1.0, steps=256, theta=1.0), "upwind"
+        )
+        _, lu, implicit, _, _ = stepper._step_system(0)
+        assert (lu.L.nnz + lu.U.nnz) / implicit.nnz <= 6.0
+
     @pytest.mark.parametrize("n, steps", [(511, 1), (1023, 1), (4095, 64)])
     def test_backward_stable_solve_is_accepted(self, grid1d, n, steps):
         # a relative residual test of 1e-12 rejected these healthy heat steps

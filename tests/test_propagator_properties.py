@@ -1,8 +1,9 @@
-"""Block marches and the dense propagator against column marches.
+"""Block marches, the dense propagator and the solver on random problems.
 
 A block march equals its columns marched one at a time, bit for bit.  The
 dense propagator of a time-independent field, built by powering one step,
-equals the marched identity up to the rounding of the powers.
+equals the marched identity up to the rounding of the powers.  A solve
+satisfies the two-time identity and agrees with the dense oracle.
 """
 
 import numpy as np
@@ -13,11 +14,15 @@ from profile_shift import (
     ADVECTION_MODES,
     CoefficientField,
     Domain,
+    ProfileShift,
     ThetaStepper,
     TimeGrid,
+    apply_Q,
     build_grid,
     dense_propagator,
+    solve_profile_shift,
 )
+from profile_shift.cli import ORACLE_AGREEMENT_TOL
 
 
 def fields(a, f, q, time_dependent):
@@ -98,3 +103,16 @@ def test_dense_propagator_equals_marched_identity(stepper):
     # where neither route keeps relative precision.
     bound = 1e-12 * np.abs(marched).max() + np.finfo(float).tiny
     assert np.abs(q - marched).max() <= bound
+
+
+@given(steppers(), st.integers(0, 2**32 - 1))
+def test_solution_satisfies_two_time_identity_and_matches_dense_oracle(stepper, seed):
+    problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
+    gamma = np.random.default_rng(seed).standard_normal(stepper.grid.size)
+    tol = 1e-10
+    zeta = solve_profile_shift(ProfileShift(gamma), *problem, tol=tol, stepper=stepper).zeta
+    defect = zeta - apply_Q(zeta, *problem, stepper=stepper) - gamma
+    assert np.linalg.norm(defect) <= tol * np.linalg.norm(gamma)
+    q = dense_propagator(*problem, stepper=stepper)
+    expected = np.linalg.solve(np.eye(stepper.grid.size) - q, gamma)
+    assert np.linalg.norm(zeta - expected) <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected)
