@@ -35,7 +35,14 @@ from .errors import (
 )
 from .grid import Grid
 from .operators import CoefficientField
-from .propagator import ThetaStepper, TimeGrid, Trajectory, _engine, propagate
+from .propagator import (
+    ThetaStepper,
+    TimeGrid,
+    Trajectory,
+    _column_norms,
+    _engine,
+    propagate,
+)
 
 DENSE_CAP = 4096
 # Identity columns per march or step in dense_propagator.  The step's
@@ -95,7 +102,9 @@ def solve_profile_shift(
 ) -> FredholmReport:
     """Solve (I - Q) zeta = gamma matrix-free and rebuild the trajectory.
 
-    The GMRES tolerance is relative to ||gamma||.  After the solve the
+    The GMRES tolerance is relative to ||gamma||.  ``max_iter`` counts
+    restart cycles, not iterations: each cycle runs up to ``restart``
+    iterations, so the defaults allow 200 x 50 = 10000.  After the solve the
     two-time condition is re-verified from the reconstructed trajectory;
     a violation beyond tol raises PostCheckFailure, so a returned report
     is always self-consistent.  When the shift carries the nonneg flag the
@@ -147,12 +156,32 @@ def solve_profile_shift(
 def _gmres_identity_minus_q(
     engine: ThetaStepper, gamma: np.ndarray, tol: float, max_iter: int, restart: int
 ):
-    m = gamma.shape[0]
+    """Solve (I - Q) zeta = gamma for a vector (M,) or a block of columns (M, k).
+
+    GMRES runs on the stacked system I_k (x) (I - Q), whose unknown is the
+    block's columns one after another; each matvec marches the whole block,
+    so every column shares one Krylov polynomial and one march per
+    iteration.  The stopping bound is absolute, ||R||_F <= tol min_j ||g_j||,
+    which gives ||r_j|| <= tol ||g_j|| for every column; for one column it
+    is GMRES's relative bound.  The bound is set by the smallest column, so
+    the columns should be of like norm, and a zero column is refused.
+    Returns the solution in gamma's shape and the number of iterations.  A
+    NoConvergence names the largest relative residual ||r_j|| / ||g_j||.
+    """
+    shape = gamma.shape
+    rhs = gamma.ravel(order="F")
+    columns = rhs.reshape((shape[0], -1), order="F")
+    # np.linalg.norm of each column, as gmres computes ||b||, so that the
+    # bound of a single vector equals gmres's own relative bound bit for bit.
+    norms = np.array([np.linalg.norm(column) for column in columns.T])
+    if not norms.all():
+        raise ValueError("every column of gamma must be nonzero")
 
     def matvec(x):
-        return x - engine.run(x)
+        block = x.reshape(shape, order="F")
+        return (block - engine.run(block)).ravel(order="F")
 
-    op = spla.LinearOperator((m, m), matvec=matvec, dtype=float)
+    op = spla.LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
     history: list[float] = []
 
     def callback(pr_norm):
@@ -160,9 +189,9 @@ def _gmres_identity_minus_q(
 
     zeta, info = spla.gmres(
         op,
-        gamma,
-        rtol=tol,
-        atol=0.0,
+        rhs,
+        rtol=0.0,
+        atol=tol * float(norms.min()),
         restart=restart,
         maxiter=max_iter,
         callback=callback,
@@ -170,13 +199,13 @@ def _gmres_identity_minus_q(
     )
     iterations = len(history)
     if info != 0:
-        residual = float(
-            np.linalg.norm(gamma - matvec(zeta)) / np.linalg.norm(gamma)
-        )
+        defect = (rhs - matvec(zeta)).reshape(columns.shape, order="F")
         raise NoConvergence(
-            iterations=iterations, residual=residual, theta=engine.timegrid.theta
+            iterations=iterations,
+            residual=float(np.max(_column_norms(defect) / norms)),
+            theta=engine.timegrid.theta,
         )
-    return zeta, iterations
+    return zeta.reshape(shape, order="F"), iterations
 
 
 def normalize(trajectory: Trajectory) -> tuple[float, Trajectory]:

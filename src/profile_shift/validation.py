@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NumericalBreakdown, UnknownCase
 from .fredholm import (
     ProfileShift,
+    _gmres_identity_minus_q,
     dense_propagator,
     solve_profile_shift,
     spectral_analysis,
@@ -23,7 +24,7 @@ from .fredholm import (
 )
 from .grid import Domain, Grid, build_grid, interval, box2d
 from .operators import CoefficientField, absorb, heat
-from .propagator import TimeGrid, Trajectory
+from .propagator import ThetaStepper, TimeGrid, Trajectory, _column_norms
 
 RESIDUAL_FLOOR = 1e-30
 
@@ -43,6 +44,30 @@ def check_fixed_shift(trajectory: Trajectory, gamma: np.ndarray, tol: float = 1e
     defect = trajectory.initial - trajectory.terminal - gamma
     denom = max(float(np.linalg.norm(gamma)), RESIDUAL_FLOOR)
     residual = float(np.linalg.norm(defect)) / denom
+    return ShiftCheck(residual=residual, tol=tol, passed=residual <= tol)
+
+
+def check_random_shifts(
+    stepper: ThetaStepper,
+    gammas: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+    restart: int = 50,
+) -> ShiftCheck:
+    """Solve (I - Q) Z = G for the columns of ``gammas`` (M, k) at once.
+
+    One block GMRES solve gives Z; Z is then marched once more as a block,
+    and the residual reported is the worst ||z_j - (QZ)_j - g_j|| / ||g_j||.
+    The columns should be of like norm (see ``_gmres_identity_minus_q``).
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 2 or gammas.shape[0] != stepper.grid.size:
+        raise ValueError(
+            f"gammas must have shape ({stepper.grid.size}, k), got {gammas.shape}"
+        )
+    zeta, _ = _gmres_identity_minus_q(stepper, gammas, tol, max_iter, restart)
+    defect = zeta - stepper.run(zeta) - gammas
+    residual = float(np.max(_column_norms(defect) / _column_norms(gammas)))
     return ShiftCheck(residual=residual, tol=tol, passed=residual <= tol)
 
 

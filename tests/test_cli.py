@@ -9,10 +9,12 @@ import pytest
 
 from profile_shift import (
     ParseError,
+    ThetaStepper,
     TimeGrid,
     ValidationError,
     box2d,
     build_grid,
+    drift,
     heat,
     interval,
     propagate,
@@ -555,6 +557,31 @@ class TestValidateCommand:
         assert "max_norm_contraction" in names
         assert report["m_matrix_certified"] is True
         assert all(c["passed"] for c in report["checks"])
+
+    def test_random_stream_is_pinned(self, tmp_path):
+        # default_rng(0) gives five shifts as one (5, M) draw, then the
+        # contraction probe's three columns as one (3, M) draw.
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            domain={"dimension": 2, "box": [[0.0, PI], [0.0, PI]]},
+            resolution=7,
+            N_t=8,
+            coefficients={"preset": "drift", "velocity": [1.0, -0.6], "absorption": 0.4},
+            outputs={"directory": str(out)},
+        )
+        assert main(["validate", "--config", str(path), "--quiet"]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        rng = np.random.default_rng(0)
+        rng.standard_normal((5, 49))
+        probe = rng.standard_normal((3, 49)).T
+        stepper = ThetaStepper(
+            drift((1.0, -0.6), 0.4), build_grid(box2d(), [7, 7]), TimeGrid(T=1.0, steps=8)
+        )
+        growth = np.abs(stepper.run(probe)).max(axis=0) / np.abs(probe).max(axis=0)
+        assert checks["max_norm_contraction"]["detail"]["worst_growth"] == growth.max()
+        shifts = checks["random_shifts"]["detail"]
+        assert shifts["trials"] == 5 and shifts["worst_residual"] <= shifts["tol"] == 1e-10
 
     def test_crank_nicolson_skips_contraction_probe(self, tmp_path):
         out = tmp_path / "out"

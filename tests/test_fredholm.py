@@ -26,6 +26,7 @@ from profile_shift import (
     spectral_analysis,
     structured_log_spectrum,
 )
+from profile_shift.fredholm import _gmres_identity_minus_q
 
 INV_GAP_1 = 1.5819767068693265  # 1 / (1 - e^-1)
 INV_GAP_4 = 1.018657360363774  # 1 / (1 - e^-4)
@@ -186,6 +187,33 @@ class TestSolve:
         message = str(info.value)
         assert "Crank-Nicolson" in message and "tends to -1" in message
         assert "raise N_t" in message and "theta > 1/2" in message
+        # A block names its worst column, not the Frobenius ratio: the
+        # nearly invariant sine column is far from solved after one
+        # iteration, the decaying random column much less so.
+        stepper = ThetaStepper(heat(1), grid, TimeGrid(T=0.01, steps=4))
+        block = np.column_stack([np.sin(grid.coordinates()[:, 0]), gamma])
+        with pytest.raises(NoConvergence) as info:
+            _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=1, restart=1)
+        # One iteration leaves Z = c G with c minimizing ||G - c (I - Q) G||_F.
+        image = block - stepper.run(block)
+        defect = block - (np.sum(image * block) / np.sum(image * image)) * image
+        per_column = np.linalg.norm(defect, axis=0) / np.linalg.norm(block, axis=0)
+        frobenius = np.linalg.norm(defect) / np.linalg.norm(block)
+        assert info.value.iterations == 1
+        assert info.value.residual == pytest.approx(per_column.max(), rel=1e-9)
+        assert per_column.max() > 1.2 * frobenius
+
+    def test_block_bound_holds_for_each_column(self, grid1d):
+        # A small slow mode beside a fast one: with one iteration per cycle a
+        # bound relative to ||G||_F stops with the small column 500 times
+        # above tol; min_j ||g_j|| holds every column to it.
+        grid = grid1d(63)
+        x = grid.coordinates()[:, 0]
+        stepper = ThetaStepper(heat(1), grid, TimeGrid(T=1.0, steps=64))
+        block = np.column_stack([1e-3 * np.sin(x), np.sin(20 * x)])
+        zeta, _ = _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=200, restart=1)
+        defect = zeta - stepper.run(zeta) - block
+        assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10 * np.linalg.norm(block, axis=0))
 
     def test_gamma_shape_checked(self, grid1d):
         with pytest.raises(ValueError):

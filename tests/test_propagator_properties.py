@@ -3,10 +3,13 @@
 A block march equals its columns marched one at a time, bit for bit.  The
 dense propagator of a time-independent field, built by powering one step,
 equals the marched identity up to the rounding of the powers.  A solve
-satisfies the two-time identity and agrees with the dense oracle.
+satisfies the two-time identity and agrees with the dense oracle, column by
+column when a block of shifts is solved at once, and a block solve is
+linear in its right-hand sides.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +26,13 @@ from profile_shift import (
     solve_profile_shift,
 )
 from profile_shift.cli import ORACLE_AGREEMENT_TOL
+from profile_shift.fredholm import _gmres_identity_minus_q
+
+TOL = 1e-10
+
+
+def block_solve(stepper, block):
+    return _gmres_identity_minus_q(stepper, block, tol=TOL, max_iter=200, restart=50)[0]
 
 
 def fields(a, f, q, time_dependent):
@@ -116,3 +126,38 @@ def test_solution_satisfies_two_time_identity_and_matches_dense_oracle(stepper, 
     q = dense_propagator(*problem, stepper=stepper)
     expected = np.linalg.solve(np.eye(stepper.grid.size) - q, gamma)
     assert np.linalg.norm(zeta - expected) <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected)
+
+
+@given(steppers(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_block_solve_meets_each_column_bound_and_matches_dense_oracle(stepper, k, seed):
+    problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
+    rng = np.random.default_rng(seed)
+    gammas = rng.standard_normal((stepper.grid.size, k))
+    zeta = block_solve(stepper, gammas)
+    assert zeta.shape == gammas.shape
+    defect = zeta - stepper.run(zeta) - gammas
+    assert np.all(np.linalg.norm(defect, axis=0) <= TOL * np.linalg.norm(gammas, axis=0))
+    q = dense_propagator(*problem, stepper=stepper)
+    expected = np.linalg.solve(np.eye(stepper.grid.size) - q, gammas)
+    gap = np.linalg.norm(zeta - expected, axis=0)
+    assert np.all(gap <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected, axis=0))
+    single = solve_profile_shift(ProfileShift(gammas[:, 0]), *problem, tol=TOL, stepper=stepper)
+    assert np.array_equal(block_solve(stepper, gammas[:, :1])[:, 0], single.zeta)
+    gammas[:, rng.integers(k)] = 0.0
+    with pytest.raises(ValueError, match="nonzero"):
+        block_solve(stepper, gammas)
+
+
+@given(
+    steppers(),
+    st.floats(0.25, 4.0),
+    st.floats(0.25, 4.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_solve_is_linear(stepper, a, b, sign, seed):
+    g1, g2 = np.random.default_rng(seed).standard_normal((2, stepper.grid.size))
+    a *= sign
+    z1, z2, z3 = block_solve(stepper, np.column_stack([g1, g2, a * g1 + b * g2])).T
+    scale = abs(a) * np.linalg.norm(z1) + b * np.linalg.norm(z2) + np.linalg.norm(z3)
+    assert np.linalg.norm(z3 - (a * z1 + b * z2)) <= 10 * TOL * scale

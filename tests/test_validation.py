@@ -3,6 +3,7 @@ import pytest
 
 from profile_shift import (
     ProfileShift,
+    ThetaStepper,
     TimeGrid,
     Trajectory,
     UnknownCase,
@@ -12,6 +13,7 @@ from profile_shift import (
     check_fixed_shift,
     check_mass,
     check_positivity,
+    check_random_shifts,
     compare_posedness,
     convergence_study,
     dense_propagator,
@@ -67,6 +69,20 @@ class TestFixedShift:
         check = check_fixed_shift(zero, np.zeros(9), tol=1e-10)
         assert check.residual == 0.0
         assert check.passed
+
+
+class TestRandomShifts:
+    def test_block_of_shifts_meets_the_tolerance(self, grid1d, rng):
+        grid = grid1d(63)
+        stepper = ThetaStepper(heat(1), grid, TimeGrid(T=1.0, steps=64))
+        check = check_random_shifts(stepper, rng.standard_normal((63, 5)), tol=1e-10)
+        assert check.passed and 0.0 < check.residual <= check.tol == 1e-10
+
+    def test_shape_checked(self, grid1d, rng):
+        stepper = ThetaStepper(heat(1), grid1d(63), TimeGrid(T=1.0, steps=4))
+        for gammas in (rng.standard_normal(63), rng.standard_normal((31, 2))):
+            with pytest.raises(ValueError, match="shape"):
+                check_random_shifts(stepper, gammas)
 
 
 class TestPositivity:
