@@ -7,8 +7,11 @@ time-T propagator, the initial profile zeta satisfies the Fredholm system
     (I - Q) zeta = gamma,
 
 which is solved matrix-free with GMRES (each matvec is one full implicit
-time march).  The trajectory is then reconstructed from zeta and scaled to
-unit initial mass, giving the probability-normalized pair (alpha, p).
+time march).  GMRES ends with the true residual of the zeta it returns, so
+its last matvec has marched zeta already; that march is the trajectory, and
+zeta is marched again only when the last matvec's input differs from it.
+The trajectory is scaled to unit initial mass, giving the
+probability-normalized pair (alpha, p).
 
 ``dense_propagator`` assembles Q_h from the same stepping engine and its
 per-column check; it exists so the iterative route can be cross-checked
@@ -41,7 +44,6 @@ from .propagator import (
     Trajectory,
     _column_norms,
     _engine,
-    propagate,
 )
 
 DENSE_CAP = 4096
@@ -122,12 +124,15 @@ def solve_profile_shift(
         # gamma = 0 forces zeta = 0: the unique fixed point of Q.
         zeta = np.zeros(grid.size)
         iterations = 0
+        marched = engine.run(zeta, keep=True)
     else:
-        zeta, iterations = _gmres_identity_minus_q(
-            engine, gamma, tol=tol, max_iter=max_iter, restart=restart
+        zeta, iterations, marched = _gmres_identity_minus_q(
+            engine, gamma, tol=tol, max_iter=max_iter, restart=restart, keep=True
         )
 
-    trajectory = propagate(zeta, 0.0, coeffs, grid, timegrid, advection_mode, stepper=engine)
+    trajectory = Trajectory(
+        marched, timegrid.time(np.arange(timegrid.steps + 1)), grid, timegrid
+    )
     defect = trajectory.initial - trajectory.terminal - gamma
     relative_residual = float(
         np.linalg.norm(defect) / gamma_norm if gamma_norm > 0 else np.linalg.norm(defect)
@@ -154,7 +159,12 @@ def solve_profile_shift(
 
 
 def _gmres_identity_minus_q(
-    engine: ThetaStepper, gamma: np.ndarray, tol: float, max_iter: int, restart: int
+    engine: ThetaStepper,
+    gamma: np.ndarray,
+    tol: float,
+    max_iter: int,
+    restart: int,
+    keep: bool = False,
 ):
     """Solve (I - Q) zeta = gamma for a vector (M,) or a block of columns (M, k).
 
@@ -165,8 +175,14 @@ def _gmres_identity_minus_q(
     which gives ||r_j|| <= tol ||g_j|| for every column; for one column it
     is GMRES's relative bound.  The bound is set by the smallest column, so
     the columns should be of like norm, and a zero column is refused.
-    Returns the solution in gamma's shape and the number of iterations.  A
-    NoConvergence names the largest relative residual ||r_j|| / ||g_j||.
+
+    Returns (zeta, iterations, marched): the solution in gamma's shape, the
+    number of iterations and marched = engine.run(zeta, keep=keep).  Each
+    matvec keeps its input and its march, dropping the previous pair first,
+    and scipy's gmres ends every cycle with the true residual of the x it
+    returns; so the last pair is reused when its input equals zeta bit for
+    bit, and zeta is marched again otherwise.  A NoConvergence names the
+    largest relative residual ||r_j|| / ||g_j||, read from the same pair.
     """
     shape = gamma.shape
     rhs = gamma.ravel(order="F")
@@ -176,10 +192,18 @@ def _gmres_identity_minus_q(
     norms = np.array([np.linalg.norm(column) for column in columns.T])
     if not norms.all():
         raise ValueError("every column of gamma must be nonzero")
+    last = None  # (input, engine.run(input, keep=keep)) of the latest matvec
+
+    def identity_minus_q(pair):
+        x, marched = pair
+        return x - (marched[-1] if keep else marched).ravel(order="F")
 
     def matvec(x):
-        block = x.reshape(shape, order="F")
-        return (block - engine.run(block)).ravel(order="F")
+        nonlocal last
+        last = None  # drop the previous march before the next starts
+        x = x.copy()
+        last = (x, engine.run(x.reshape(shape, order="F"), keep=keep))
+        return identity_minus_q(last)
 
     op = spla.LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
     history: list[float] = []
@@ -198,14 +222,17 @@ def _gmres_identity_minus_q(
         callback_type="pr_norm",
     )
     iterations = len(history)
+    # Bytes, not values: -0.0 == 0.0, but the two march to different zeros.
+    if last is None or last[0].tobytes() != zeta.tobytes():
+        matvec(zeta)
     if info != 0:
-        defect = (rhs - matvec(zeta)).reshape(columns.shape, order="F")
+        defect = (rhs - identity_minus_q(last)).reshape(columns.shape, order="F")
         raise NoConvergence(
             iterations=iterations,
             residual=float(np.max(_column_norms(defect) / norms)),
             theta=engine.timegrid.theta,
         )
-    return zeta.reshape(shape, order="F"), iterations
+    return zeta.reshape(shape, order="F"), iterations, last[1]
 
 
 def normalize(trajectory: Trajectory) -> tuple[float, Trajectory]:

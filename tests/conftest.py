@@ -42,3 +42,52 @@ def grid2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    """Record every ThetaStepper.run call by its start index."""
+    from profile_shift import ThetaStepper
+
+    calls = []
+    run = ThetaStepper.run
+
+    def counted(stepper, values, start_index=0, keep=False):
+        calls.append(start_index)
+        return run(stepper, values, start_index, keep)
+
+    monkeypatch.setattr(ThetaStepper, "run", counted)
+    return calls
+
+
+@pytest.fixture
+def gmres_spy(monkeypatch):
+    """Wrap scipy's gmres as the solver calls it, counting its matvecs and iterations.
+
+    Set ``spy["after"]`` to a function of the operator and the returned x to
+    act between the real call and the return.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    from profile_shift import fredholm
+
+    spy = {"matvecs": 0, "iterations": 0, "after": None}
+    gmres = fredholm.spla.gmres
+
+    def wrapped(op, rhs, callback, **kwargs):
+        def matvec(x):
+            spy["matvecs"] += 1
+            return op.matvec(x)
+
+        def counted(pr_norm):
+            spy["iterations"] += 1
+            callback(pr_norm)
+
+        counted_op = LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        x, info = gmres(counted_op, rhs, callback=counted, **kwargs)
+        if spy["after"] is not None:
+            spy["after"](counted_op, x)
+        return x, info
+
+    monkeypatch.setattr(fredholm.spla, "gmres", wrapped)
+    return spy

@@ -211,7 +211,7 @@ class TestSolve:
         x = grid.coordinates()[:, 0]
         stepper = ThetaStepper(heat(1), grid, TimeGrid(T=1.0, steps=64))
         block = np.column_stack([1e-3 * np.sin(x), np.sin(20 * x)])
-        zeta, _ = _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=200, restart=1)
+        zeta, _, _ = _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=200, restart=1)
         defect = zeta - stepper.run(zeta) - block
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10 * np.linalg.norm(block, axis=0))
 
@@ -220,6 +220,48 @@ class TestSolve:
             solve_profile_shift(
                 ProfileShift(np.ones(5)), heat(1), grid1d(31), TimeGrid(T=1.0, steps=4)
             )
+
+
+class TestLastMarch:
+    """The trajectory is the march of GMRES's last matvec when its input is zeta."""
+
+    @staticmethod
+    def problem(grid1d, rng):
+        grid = grid1d(63)
+        return ProfileShift(rng.standard_normal(63)), heat(1), grid, TimeGrid(T=1.0, steps=64)
+
+    def test_converged_solve_marches_once_per_matvec(self, grid1d, rng, marches, gmres_spy):
+        report = solve_profile_shift(*self.problem(grid1d, rng))
+        # One march per iteration and one for the true residual that ends
+        # the single restart cycle; none after GMRES returns.
+        assert gmres_spy["iterations"] == report.iterations >= 1
+        assert len(marches) == gmres_spy["matvecs"] == report.iterations + 1
+
+    def test_zeta_is_marched_again_when_the_last_matvec_was_elsewhere(
+        self, grid1d, rng, marches, gmres_spy
+    ):
+        problem = self.problem(grid1d, rng)
+        plain = solve_profile_shift(*problem)
+        plain_matvecs = gmres_spy["matvecs"]
+        marches.clear()
+        gmres_spy["matvecs"] = 0
+        gmres_spy["after"] = lambda op, x: op.matvec(np.ones_like(x))
+        other = solve_profile_shift(*problem)
+        assert gmres_spy["matvecs"] == plain_matvecs + 1
+        assert len(marches) == gmres_spy["matvecs"] + 1
+        assert other.zeta.tobytes() == plain.zeta.tobytes()
+        assert other.trajectory.values.tobytes() == plain.trajectory.values.tobytes()
+        assert other.iterations == plain.iterations
+        assert other.relative_residual == plain.relative_residual
+
+    def test_no_convergence_makes_no_march_of_its_own(self, grid1d, rng, marches, gmres_spy):
+        grid = grid1d(63)
+        with pytest.raises(NoConvergence):
+            solve_profile_shift(
+                ProfileShift(rng.standard_normal(63)), heat(1), grid,
+                TimeGrid(T=0.01, steps=4), max_iter=1, restart=1,
+            )
+        assert len(marches) == gmres_spy["matvecs"] == 2
 
 
 class TestNormalize:

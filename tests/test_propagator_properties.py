@@ -5,7 +5,8 @@ dense propagator of a time-independent field, built by powering one step,
 equals the marched identity up to the rounding of the powers.  A solve
 satisfies the two-time identity and agrees with the dense oracle, column by
 column when a block of shifts is solved at once, and a block solve is
-linear in its right-hand sides.
+linear in its right-hand sides.  Under backward Euler with a certified
+M-matrix, a nonnegative shift gives a nonnegative profile of unit mass.
 """
 
 import numpy as np
@@ -22,10 +23,12 @@ from profile_shift import (
     TimeGrid,
     apply_Q,
     build_grid,
+    check_mass,
+    check_positivity,
     dense_propagator,
     solve_profile_shift,
 )
-from profile_shift.cli import ORACLE_AGREEMENT_TOL
+from profile_shift.cli import MASS_TOL, ORACLE_AGREEMENT_TOL
 from profile_shift.fredholm import _gmres_identity_minus_q
 
 TOL = 1e-10
@@ -56,8 +59,19 @@ def fields(a, f, q, time_dependent):
 
 
 @st.composite
-def steppers(draw, side=(100, 10), time_dependent=st.booleans(), steps=st.integers(1, 6)):
-    """Stepper on a random masked 1D or 2D grid, at most side[dim - 1] nodes a side."""
+def steppers(
+    draw,
+    side=(100, 10),
+    time_dependent=st.booleans(),
+    steps=st.integers(1, 6),
+    mixed=st.floats(-0.9, 0.9),
+    thetas=st.sampled_from([0.5, 0.75, 1.0]),
+    modes=st.sampled_from(ADVECTION_MODES),
+):
+    """Stepper on a random masked 1D or 2D grid, at most side[dim - 1] nodes a side.
+
+    ``mixed`` draws a_xy / sqrt(a_xx a_yy) in 2D.
+    """
     dim = draw(st.sampled_from([1, 2]))
     shape = tuple(draw(st.integers(1, side[dim - 1])) for _ in range(dim))
     cells = int(np.prod(shape))
@@ -66,7 +80,7 @@ def steppers(draw, side=(100, 10), time_dependent=st.booleans(), steps=st.intege
     diag = [draw(st.floats(0.1, 5.0)) for _ in range(dim)]
     a = np.diag(diag)
     if dim == 2:
-        a[0, 1] = a[1, 0] = draw(st.floats(-0.9, 0.9)) * np.sqrt(diag[0] * diag[1])
+        a[0, 1] = a[1, 0] = draw(mixed) * np.sqrt(diag[0] * diag[1])
     f = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(dim)])
     q = draw(st.floats(0.0, 2.0))
     coeffs = fields(a, f, q, draw(time_dependent))
@@ -74,9 +88,9 @@ def steppers(draw, side=(100, 10), time_dependent=st.booleans(), steps=st.intege
     timegrid = TimeGrid(
         T=draw(st.floats(0.05, 2.0)),
         steps=draw(steps),
-        theta=draw(st.sampled_from([0.5, 0.75, 1.0])),
+        theta=draw(thetas),
     )
-    return ThetaStepper(coeffs, grid, timegrid, draw(st.sampled_from(ADVECTION_MODES)))
+    return ThetaStepper(coeffs, grid, timegrid, draw(modes))
 
 
 @st.composite
@@ -120,12 +134,43 @@ def test_solution_satisfies_two_time_identity_and_matches_dense_oracle(stepper, 
     problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
     gamma = np.random.default_rng(seed).standard_normal(stepper.grid.size)
     tol = 1e-10
-    zeta = solve_profile_shift(ProfileShift(gamma), *problem, tol=tol, stepper=stepper).zeta
+    report = solve_profile_shift(ProfileShift(gamma), *problem, tol=tol, stepper=stepper)
+    zeta = report.zeta
+    # the trajectory is the march of zeta, bit for bit, whichever march it came from
+    assert report.trajectory.values.tobytes() == stepper.run(zeta, keep=True).tobytes()
     defect = zeta - apply_Q(zeta, *problem, stepper=stepper) - gamma
     assert np.linalg.norm(defect) <= tol * np.linalg.norm(gamma)
     q = dense_propagator(*problem, stepper=stepper)
     expected = np.linalg.solve(np.eye(stepper.grid.size) - q, gamma)
     assert np.linalg.norm(zeta - expected) <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected)
+
+
+@given(
+    steppers(mixed=st.just(0.0), thetas=st.just(1.0), modes=st.just("upwind")),
+    st.integers(0, 2**32 - 1),
+)
+def test_nonnegative_shift_gives_nonnegative_unit_mass_profile(stepper, seed):
+    # Upwind drift with no mixed term: every step matrix B = I - dt A_h is
+    # an M-matrix with row sums >= 1, so S = B^-1 >= 0 with ||S||_inf <= 1
+    # (the time-dependent fields keep that sign pattern at every t).
+    assert stepper.m_matrix_certified
+    problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
+    rng = np.random.default_rng(seed)
+    gamma = np.where(rng.random(stepper.grid.size) < 0.5, 0.0, rng.random(stepper.grid.size))
+    gamma[rng.integers(stepper.grid.size)] = 1.0
+    report = solve_profile_shift(ProfileShift(gamma, nonneg=True), *problem, tol=TOL, stepper=stepper)
+    # The solve's post-check bounds r = (I - Q) zeta - gamma by
+    # ||r||_inf <= ||r||_2 <= TOL ||gamma||_2.  (I - Q)^-1 = sum Q^k >= 0 maps
+    # gamma to a nonnegative profile, so zeta, and every slice that the
+    # nonnegative, non-expanding steps make of it, sits at most
+    # ||(I - Q)^-1||_inf ||r||_inf below zero: alpha times that once
+    # normalized.  The march's own rounding, of order eps against TOL, is
+    # left out.
+    q = dense_propagator(*problem, stepper=stepper)
+    resolvent_norm = np.abs(np.linalg.inv(np.eye(stepper.grid.size) - q)).sum(axis=1).max()
+    bound = report.alpha * resolvent_norm * TOL * np.linalg.norm(gamma)
+    assert check_positivity(report.normalized, positivity_tol=bound).passed
+    assert check_mass(report.normalized) <= MASS_TOL
 
 
 @given(steppers(), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -78,6 +78,29 @@ class TestRandomShifts:
         check = check_random_shifts(stepper, rng.standard_normal((63, 5)), tol=1e-10)
         assert check.passed and 0.0 < check.residual <= check.tol == 1e-10
 
+    def test_columns_of_unequal_norm(self, grid1d, rng, gmres_spy):
+        # Unscaled, the block bound tol * min_j ||g_j|| lay below the
+        # rounding of the large column: NoConvergence after about 9800
+        # iterations with every column solved to 3e-17.
+        stepper = ThetaStepper(heat(1), grid1d(63), TimeGrid(T=1.0, steps=64))
+        g1, g2 = rng.standard_normal((2, 63))
+        check = check_random_shifts(stepper, np.column_stack([1e-8 * g1, g2]), tol=1e-10)
+        assert check.passed and 0.0 < check.residual <= 1e-10
+        assert gmres_spy["iterations"] <= 10
+
+    def test_block_is_marched_once_per_matvec(self, grid1d, rng, marches, gmres_spy):
+        stepper = ThetaStepper(heat(1), grid1d(63), TimeGrid(T=1.0, steps=64))
+        check_random_shifts(stepper, rng.standard_normal((63, 5)), tol=1e-10)
+        # one cycle: a march per iteration and one for the true residual
+        assert len(marches) == gmres_spy["matvecs"] == gmres_spy["iterations"] + 1
+
+    def test_zero_column_refused(self, grid1d, rng):
+        stepper = ThetaStepper(heat(1), grid1d(63), TimeGrid(T=1.0, steps=4))
+        gammas = rng.standard_normal((63, 3))
+        gammas[:, 1] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            check_random_shifts(stepper, gammas)
+
     def test_shape_checked(self, grid1d, rng):
         stepper = ThetaStepper(heat(1), grid1d(63), TimeGrid(T=1.0, steps=4))
         for gammas in (rng.standard_normal(63), rng.standard_normal((31, 2))):
