@@ -39,7 +39,6 @@ from .fredholm import (
     dense_propagator,
     solve_profile_shift,
     spectral_analysis,
-    structured_log_spectrum,
 )
 from .grid import Domain, Grid, build_grid
 from .operators import (
@@ -507,7 +506,7 @@ def _cmd_oracle(config: ExperimentConfig, out: Path):
     result = _solve(config, config.shift, stepper)
     denom = max(float(np.linalg.norm(zeta_dense)), 1e-30)
     agreement = float(np.linalg.norm(result.zeta - zeta_dense)) / denom
-    spectral = spectral_analysis(q)
+    spectral = spectral_analysis(stepper, q)
     q_path = out / "qmatrix.npy"
     np.save(q_path, q)
     report = {
@@ -522,24 +521,14 @@ def _cmd_oracle(config: ExperimentConfig, out: Path):
 
 
 def _cmd_spectrum(config: ExperimentConfig, out: Path):
-    grid, coeffs, timegrid = config.grid, config.coeffs, config.timegrid
-    q = dense_propagator(coeffs, grid, timegrid, config.advection_mode)
-    spectral = spectral_analysis(q)
-    log10_cond = spectral.log10_cond_Q
-    structured = None
-    try:
-        log_mu = structured_log_spectrum(coeffs, grid, timegrid, config.advection_mode)
-        structured = float(log_mu.max() - log_mu.min())
-        log10_cond = structured
-    except NumericalBreakdown:
-        pass
+    stepper = ThetaStepper(config.coeffs, config.grid, config.timegrid, config.advection_mode)
+    spectral = spectral_analysis(stepper)
     report = {
-        "M": grid.size,
+        "M": config.grid.size,
+        "route": spectral.route,
         "spectral_radius": spectral.spectral_radius,
         "cond_identity_minus_Q": spectral.cond_identity_minus_Q,
-        "log10_cond_Q": log10_cond,
-        "log10_cond_Q_svd": spectral.log10_cond_Q,
-        "log10_cond_Q_structured": structured,
+        "log10_cond_Q": spectral.log10_cond_Q,
         "eigenvalues": {
             "real": np.real(spectral.eigenvalues),
             "imag": np.imag(spectral.eigenvalues),

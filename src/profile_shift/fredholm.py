@@ -18,7 +18,8 @@ per-column check; it exists so the iterative route can be cross-checked
 against explicit linear algebra on small grids.  For time-independent
 coefficients it steps the identity once, giving the one-step matrix S, and
 returns S^N_t, which differs from a march only by the rounding of the
-powers.
+powers.  ``spectral_analysis`` is the one place that picks a spectral route:
+eigvalsh of a symmetric, time-independent A_h, or else the dense Q_h.
 """
 
 from __future__ import annotations
@@ -316,25 +317,75 @@ def _power(step: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
-    """Eigenvalue / singular-value summary of Q_h and I - Q_h."""
+    """Spectral summary of Q_h and I - Q_h; ``route`` is "generator" or "dense"."""
 
     eigenvalues: np.ndarray
     spectral_radius: float
     log10_cond_Q: float
     cond_identity_minus_Q: float
+    route: str
 
 
-def spectral_analysis(q_matrix: np.ndarray) -> SpectralReport:
-    """Dense eigenvalue and conditioning summary of a propagator matrix.
+def spectral_analysis(stepper: ThetaStepper, q_matrix: np.ndarray | None = None) -> SpectralReport:
+    """Eigenvalues of Q_h, rho(Q_h), cond(I - Q_h) and log10 cond(Q_h).
 
-    cond(Q_h) is reported in log10 because on fine grids it exceeds the
-    double-precision range.  The SVD-based value saturates near 1e19 (the
-    smallest singular values are below the noise floor of the dense matrix
-    itself), so for symmetric propagators prefer ``structured_log_spectrum``.
+    When the coefficients do not depend on time and the stepper's A_h is
+    exactly symmetric, Q_h = m(A_h)^N_t shares its eigenvectors, so every
+    value follows from eigvalsh(A_h) and no dense Q_h is built (the generator
+    route).  Otherwise the dense Q_h is decomposed: ``q_matrix`` if the caller
+    has built it, else ``dense_propagator`` on the stepper (the dense route).
+    Both hold M x M arrays, so both refuse grids above DENSE_CAP nodes.
+    log10 cond(Q_h) leaves the double range on fine grids; only the generator
+    route resolves it there, as the dense route's SVD saturates near 1e19.
     """
+    m = stepper.grid.size
+    if m > DENSE_CAP:
+        raise TooLarge(f"spectra need {m}x{m} storage; cap is {DENSE_CAP} nodes")
+    if not stepper.coeffs.time_dependent:
+        generator = stepper.generator.matrix
+        if (generator != generator.T).nnz == 0:
+            return _generator_spectrum(generator, stepper.timegrid)
+    if q_matrix is None:
+        problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
+        q_matrix = dense_propagator(*problem, stepper=stepper)
+    return _dense_spectrum(q_matrix, m)
+
+
+def _generator_spectrum(generator, timegrid: TimeGrid) -> SpectralReport:
+    """The summary of Q_h from the eigenvalues lambda of a symmetric A_h.
+
+    Each lambda maps to the per-step multiplier
+    m = (1 + (1-theta)*dt*lambda) / (1 - theta*dt*lambda) and to mu = m^N_t,
+    with log|mu| = N_t log|m| taken via log1p so that condition numbers past
+    1e300 stay representable.  Q_h is symmetric: its singular values are |mu|
+    and those of I - Q_h are |1 - mu|.
+    """
+    lam = scipy.linalg.eigvalsh(generator.toarray())
+    theta, steps = timegrid.theta, timegrid.steps
+    # The explicit factor can cross zero under Crank-Nicolson, so fall back
+    # from log1p to log|.| away from the well-conditioned neighborhood of 1.
+    x = (1.0 - theta) * timegrid.dt * lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_num = np.where(x > -0.5, np.log1p(x), np.log(np.abs(1.0 + x)))
+        log_mu = steps * (log_num - np.log1p(-theta * timegrid.dt * lam))
+    mu = np.sign(1.0 + x) ** steps * np.exp(log_mu)
+    gap = np.abs(1.0 - mu)
+    if gap.min() <= 0.0:
+        raise NumericalBreakdown("I - Q is numerically singular")
+    return SpectralReport(
+        eigenvalues=mu,
+        spectral_radius=float(np.abs(mu).max()),
+        log10_cond_Q=float((log_mu.max() - log_mu.min()) / np.log(10.0)),
+        cond_identity_minus_Q=float(gap.max() / gap.min()),
+        route="generator",
+    )
+
+
+def _dense_spectrum(q_matrix: np.ndarray, m: int) -> SpectralReport:
+    """The summary of a dense M x M propagator from its eigvals and two SVDs."""
     q = np.asarray(q_matrix, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"propagator matrix must be square, got {q.shape}")
+    if q.shape != (m, m):
+        raise ValueError(f"propagator matrix must be {m}x{m}, got {q.shape}")
     if not np.all(np.isfinite(q)):
         raise NumericalBreakdown("propagator matrix contains non-finite entries")
     eigs = np.linalg.eigvals(q)
@@ -347,7 +398,7 @@ def spectral_analysis(q_matrix: np.ndarray) -> SpectralReport:
         log10_cond = np.inf
     else:
         log10_cond = float(np.log10(sigma_max) - np.log10(sigma_min))
-    sing_iq = scipy.linalg.svdvals(np.eye(q.shape[0]) - q)
+    sing_iq = scipy.linalg.svdvals(np.eye(m) - q)
     if sing_iq[-1] <= 0.0:
         raise NumericalBreakdown("I - Q is numerically singular")
     return SpectralReport(
@@ -355,43 +406,5 @@ def spectral_analysis(q_matrix: np.ndarray) -> SpectralReport:
         spectral_radius=float(np.max(np.abs(eigs))),
         log10_cond_Q=log10_cond,
         cond_identity_minus_Q=float(sing_iq[0] / sing_iq[-1]),
+        route="dense",
     )
-
-
-def structured_log_spectrum(
-    coeffs: CoefficientField,
-    grid: Grid,
-    timegrid: TimeGrid,
-    advection_mode: str = "centered",
-) -> np.ndarray:
-    """log10 |mu_k| for every eigenvalue mu_k of Q_h, without underflow.
-
-    Valid when the assembled generator is symmetric (no drift, or centered
-    differences with constant coefficients give symmetry only for f = 0).
-    Q_h then shares eigenvectors with A_h and each generator eigenvalue
-    lambda < 0 maps to the per-step multiplier
-
-        m = (1 + (1-theta)*dt*lambda) / (1 - theta*dt*lambda),
-
-    so log|mu| = N_t * log|m| is computed in log space via log1p.  This is
-    what makes condition numbers past 1e300 representable.
-    """
-    from .operators import assemble
-
-    gen = assemble(coeffs, grid, 0.0, advection_mode).matrix.toarray()
-    if not np.allclose(gen, gen.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(gen).max())):
-        raise NumericalBreakdown(
-            "structured spectrum requires a symmetric discrete generator"
-        )
-    lam = scipy.linalg.eigvalsh(gen)
-    dt = timegrid.dt
-    theta = timegrid.theta
-    # log|1 + (1-theta) dt lam| - log|1 - theta dt lam|, stable for lam << 0.
-    # The explicit factor can cross zero under Crank-Nicolson, so fall back
-    # from log1p to log|.| away from the well-conditioned neighborhood of 1.
-    x = (1.0 - theta) * dt * lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_num = np.where(x > -0.5, np.log1p(x), np.log(np.abs(1.0 + x)))
-        log_den = np.log1p(-theta * dt * lam)
-    log_mu = timegrid.steps * (log_num - log_den)
-    return log_mu / np.log(10.0)

@@ -135,17 +135,23 @@ class ThetaStepper:
         self._next_generator: tuple[int, DiscreteGenerator] | None = None
 
     @property
-    def m_matrix_certified(self) -> bool:
+    def generator(self) -> DiscreteGenerator:
+        """A_h(t_0), the generator of the first step system."""
         return self._step_system(0)[4]
+
+    @property
+    def m_matrix_certified(self) -> bool:
+        return self.generator.m_matrix_certified
 
     def _step_system(self, k: int):
         """Matrices for the step t_k -> t_{k+1} (cached).
 
-        Returns (explicit, lu, implicit, implicit_norm, certified).
+        Returns (explicit, lu, implicit, implicit_norm, generator).
         ``explicit`` is None when theta = 1, where it is exactly I;
         ``implicit`` is the CSR copy used for residuals (SuperLU gets the
         CSC form), and ``implicit_norm`` is sqrt(||B||_1 ||B||_inf), a
-        bound on its 2-norm.
+        bound on its 2-norm.  ``generator`` is A_h(t_0) for the first step
+        and None for the others, which are not asked for theirs.
         """
         key = k if self.coeffs.time_dependent else 0
         if key not in self._cache:
@@ -175,7 +181,7 @@ class ThetaStepper:
             norm_inf = np.bincount(implicit.indices, np.abs(implicit.data)).max()
             self._cache[key] = (
                 explicit, lu, implicit_csr, float(np.sqrt(norm_1 * norm_inf)),
-                gen0.m_matrix_certified,
+                gen0 if key == 0 else None,
             )
         return self._cache[key]
 

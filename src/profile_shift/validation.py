@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown, UnknownCase
+from .errors import UnknownCase
 from .fredholm import (
     ProfileShift,
     _gmres_identity_minus_q,
-    dense_propagator,
     solve_profile_shift,
     spectral_analysis,
-    structured_log_spectrum,
 )
 from .grid import Domain, Grid, build_grid, interval, box2d
 from .operators import CoefficientField, absorb, heat
@@ -153,30 +151,25 @@ def compare_posedness(
 ) -> PosednessReport:
     """Measure cond(I - Q_h) and cond(Q_h) across grid resolutions.
 
-    cond(Q_h) comes from the structured symmetric eigenvalue route when the
-    assembled generator is symmetric (exact in log space); otherwise from
-    dense singular values, which saturate near 1e19 and then understate the
-    true value.  The backward problem is never solved, only measured.
+    Each rung's values come from ``spectral_analysis``: from the eigenvalues
+    of A_h when the generator is symmetric and does not depend on time (exact
+    in log space, no dense Q_h built), otherwise from the dense Q_h, whose
+    singular values saturate near 1e19 and then understate cond(Q_h).  The
+    backward problem is never solved, only measured.
     """
     ms = sorted(set(int(m) for m in resolutions))
     if len(ms) < 1:
         raise ValueError("need at least one resolution")
+    timegrid = TimeGrid(T=T, steps=steps, theta=theta)
     records = []
     for m in ms:
         grid = build_grid(domain, [m] * domain.dimension)
-        timegrid = TimeGrid(T=T, steps=steps, theta=theta)
-        q = dense_propagator(coeffs, grid, timegrid, advection_mode)
-        report = spectral_analysis(q)
-        try:
-            log_mu = structured_log_spectrum(coeffs, grid, timegrid, advection_mode)
-            log10_cond = float(log_mu.max() - log_mu.min())
-        except NumericalBreakdown:
-            log10_cond = report.log10_cond_Q
+        report = spectral_analysis(ThetaStepper(coeffs, grid, timegrid, advection_mode))
         records.append(
             PosednessRecord(
                 M=grid.size,
                 cond_identity_minus_Q=report.cond_identity_minus_Q,
-                log10_cond_Q=log10_cond,
+                log10_cond_Q=report.log10_cond_Q,
                 spectral_radius=report.spectral_radius,
             )
         )

@@ -15,6 +15,7 @@ import pytest
 
 from profile_shift import (
     ProfileShift,
+    ThetaStepper,
     TimeGrid,
     box2d,
     build_grid,
@@ -163,13 +164,12 @@ def test_criterion_6_spectral_radius():
     ]
     radii = {}
     for label, grid, coeffs in configs:
-        q = dense_propagator(coeffs, grid, tg)
-        rho = spectral_analysis(q).spectral_radius
+        rho = spectral_analysis(ThetaStepper(coeffs, grid, tg)).spectral_radius
         assert rho < 1.0, f"{label}: rho={rho}"
         radii[label] = rho
     fine = build_grid(interval(0.0, np.pi), [127])
-    q = dense_propagator(heat(1), fine, TimeGrid(T=1.0, steps=512, theta=1.0))
-    rho_fine = spectral_analysis(q).spectral_radius
+    tg_fine = TimeGrid(T=1.0, steps=512, theta=1.0)
+    rho_fine = spectral_analysis(ThetaStepper(heat(1), fine, tg_fine)).spectral_radius
     assert rho_fine == pytest.approx(EXP_M1, abs=1e-3)
     print(f"ACCEPTANCE 6 PASS: rho(Q) < 1 in {len(configs)} configs "
           f"(max {max(radii.values()):.6f}); at M=127, N_t=512 rho="

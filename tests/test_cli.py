@@ -14,6 +14,7 @@ from profile_shift import (
     ValidationError,
     box2d,
     build_grid,
+    dense_propagator,
     drift,
     heat,
     interval,
@@ -26,6 +27,8 @@ from profile_shift.cli import (
     parse_config,
     run,
 )
+from profile_shift.fredholm import DENSE_CAP, _dense_spectrum
+import profile_shift.fredholm as fredholm
 import profile_shift.operators as operators
 import profile_shift.propagator as propagator
 
@@ -477,11 +480,13 @@ class TestSpectrumCommand:
         )
         assert main(["spectrum", "--config", str(path), "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
-        # double-precision SVD saturates near 1e16..1e19 while the structured
+        # double-precision SVD saturates near 1e16..1e19 while the generator
         # route resolves the true decades of decay
-        assert report["log10_cond_Q_svd"] <= 20.0
-        assert report["log10_cond_Q_structured"] > 100.0
-        assert report["log10_cond_Q"] == report["log10_cond_Q_structured"]
+        config = parse_config(path)
+        q = dense_propagator(config.coeffs, config.grid, config.timegrid)
+        assert _dense_spectrum(q, config.grid.size).log10_cond_Q <= 20.0
+        assert report["route"] == "generator"
+        assert report["log10_cond_Q"] > 100.0
         assert len(report["eigenvalues"]["real"]) == 31
 
     def test_drift_falls_back_to_svd(self, tmp_path):
@@ -493,8 +498,31 @@ class TestSpectrumCommand:
         )
         assert main(["spectrum", "--config", str(path), "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["log10_cond_Q_structured"] is None
-        assert report["log10_cond_Q"] == report["log10_cond_Q_svd"]
+        config = parse_config(path)
+        q = dense_propagator(config.coeffs, config.grid, config.timegrid)
+        assert report["route"] == "dense"
+        assert report["log10_cond_Q"] == _dense_spectrum(q, config.grid.size).log10_cond_Q
+
+    def test_symmetric_generator_builds_no_dense_q(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("dense propagator built")
+
+        monkeypatch.setattr(fredholm, "dense_propagator", refuse)
+        path = write_config(tmp_path, resolution=15, outputs={"directory": str(tmp_path)})
+        assert main(["spectrum", "--config", str(path), "--quiet"]) == 0
+        assert main(["posedness", "--config", str(path), "--resolutions", "7,15", "--quiet"]) == 0
+        path = write_config(
+            tmp_path, resolution=15, coefficients={"preset": "drift", "velocity": [1.0]},
+            outputs={"directory": str(tmp_path)},
+        )
+        with pytest.raises(RuntimeError, match="dense propagator built"):
+            main(["spectrum", "--config", str(path), "--quiet"])
+
+    def test_symmetric_grid_above_cap_exits_5(self, tmp_path):
+        path = write_config(
+            tmp_path, resolution=DENSE_CAP + 1, N_t=1, outputs={"directory": str(tmp_path)},
+        )
+        assert main(["spectrum", "--config", str(path), "--quiet"]) == 5
 
 
 class TestPosednessCommand:

@@ -24,9 +24,8 @@ from profile_shift import (
     propagate,
     solve_profile_shift,
     spectral_analysis,
-    structured_log_spectrum,
 )
-from profile_shift.fredholm import _gmres_identity_minus_q
+from profile_shift.fredholm import DENSE_CAP, _dense_spectrum, _gmres_identity_minus_q
 
 INV_GAP_1 = 1.5819767068693265  # 1 / (1 - e^-1)
 INV_GAP_4 = 1.018657360363774  # 1 / (1 - e^-4)
@@ -373,63 +372,99 @@ class TestDenseOracle:
 
 
 class TestSpectralAnalysis:
-    def test_requires_square_finite_input(self):
+    def test_requires_square_finite_input(self, grid1d):
+        # the dense route checks the Q it is given; drift takes the dense route
+        stepper = ThetaStepper(drift([1.0]), grid1d(2), TimeGrid(T=1.0, steps=4))
         with pytest.raises(ValueError):
-            spectral_analysis(np.zeros((3, 2)))
+            spectral_analysis(stepper, np.zeros((3, 2)))
         with pytest.raises(NumericalBreakdown):
-            spectral_analysis(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            spectral_analysis(stepper, np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     def test_heat_spectrum_matches_stepping_formula(self, grid1d):
         # independent route: discrete eigenvalues lambda_k = (4/h^2) sin^2(kh/2)
         # give Q eigenvalues (1 + dt lambda_k)^(-N_t) under backward Euler
         grid = grid1d(15)
         tg = TimeGrid(T=1.0, steps=512, theta=1.0)
-        q = dense_propagator(heat(1), grid, tg)
-        report = spectral_analysis(q)
+        generator = spectral_analysis(ThetaStepper(heat(1), grid, tg))
+        dense = _dense_spectrum(dense_propagator(heat(1), grid, tg), grid.size)
+        assert (generator.route, dense.route) == ("generator", "dense")
         h = grid.h[0]
         lam1 = (4.0 / h**2) * np.sin(h / 2.0) ** 2
         rho_formula = (1.0 + tg.dt * lam1) ** (-tg.steps)
-        assert report.spectral_radius == pytest.approx(rho_formula, rel=1e-10)
-        assert report.spectral_radius < 1.0
-        # symmetric case: cond(I-Q) is (1 - mu_min) / (1 - mu_max) ~ 1/(1-rho)
-        assert report.cond_identity_minus_Q == pytest.approx(
-            1.0 / (1.0 - report.spectral_radius), rel=0.01
-        )
-        assert report.cond_identity_minus_Q <= 2.0
+        for report in (generator, dense):
+            assert report.spectral_radius == pytest.approx(rho_formula, rel=1e-10)
+            assert report.spectral_radius < 1.0
+            # symmetric case: cond(I-Q) is (1 - mu_min) / (1 - mu_max) ~ 1/(1-rho)
+            assert report.cond_identity_minus_Q == pytest.approx(
+                1.0 / (1.0 - report.spectral_radius), rel=0.01
+            )
+            assert report.cond_identity_minus_Q <= 2.0
 
     def test_svd_conditioning_saturates(self, grid1d):
         # the true log10 cond(Q) at M=15 is about 40; double-precision SVD
-        # cannot see past ~19 digits, which is why the structured route exists
+        # cannot see past ~19 digits, which is why the generator route exists
         grid = grid1d(15)
         tg = TimeGrid(T=1.0, steps=512, theta=1.0)
-        report = spectral_analysis(dense_propagator(heat(1), grid, tg))
+        report = _dense_spectrum(dense_propagator(heat(1), grid, tg), grid.size)
         assert 15.0 <= report.log10_cond_Q <= 20.0
+        assert spectral_analysis(ThetaStepper(heat(1), grid, tg)).log10_cond_Q >= 40.0
+
+    def test_time_dependent_field_takes_dense_route(self, grid1d):
+        # A_h(0) does not describe Q when a varies in time (a = 1 + 3t here)
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: np.array([[1.0 + 3.0 * t]]),
+            f=lambda x, t: np.zeros(1),
+            q=lambda x, t: 0.0,
+            delta=1.0,
+            time_dependent=True,
+        )
+        grid = grid1d(7)
+        tg = TimeGrid(T=1.0, steps=16, theta=1.0)
+        report = spectral_analysis(ThetaStepper(coeffs, grid, tg, "centered"))
+        dense = _dense_spectrum(dense_propagator(coeffs, grid, tg, "centered"), grid.size)
+        assert report.route == "dense"
+        assert report.log10_cond_Q == dense.log10_cond_Q
+        assert report.spectral_radius == dense.spectral_radius
+
+    def test_size_cap_on_both_routes(self):
+        grid = build_grid(interval(0.0, np.pi), [DENSE_CAP + 1])
+        for coeffs in (heat(1), drift([1.0])):
+            with pytest.raises(TooLarge):
+                spectral_analysis(ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=1)))
 
 
 class TestStructuredSpectrum:
     def test_matches_analytic_log_eigenvalues(self, grid1d):
         grid = grid1d(15)
         tg = TimeGrid(T=1.0, steps=512, theta=1.0)
-        log_mu = np.sort(structured_log_spectrum(heat(1), grid, tg))
+        report = spectral_analysis(ThetaStepper(heat(1), grid, tg))
+        log_mu = np.sort(np.log10(np.abs(report.eigenvalues)))
         h = grid.h[0]
         k = np.arange(1, 16)
         lam = (4.0 / h**2) * np.sin(k * h / 2.0) ** 2
         expected = np.sort(-tg.steps * np.log10(1.0 + tg.dt * lam))
         assert log_mu == pytest.approx(expected, abs=1e-9)
         # the conditioning this implies is far beyond double range
-        assert log_mu.max() - log_mu.min() >= 40.0
+        assert report.log10_cond_Q == pytest.approx(expected.max() - expected.min(), abs=1e-9)
+        assert report.log10_cond_Q >= 40.0
 
     def test_agrees_with_dense_eigenvalues_when_representable(self, grid1d):
         grid = grid1d(5)
         tg = TimeGrid(T=0.25, steps=16, theta=0.5)
-        log_mu = np.sort(structured_log_spectrum(heat(1), grid, tg, "centered"))
+        report = spectral_analysis(ThetaStepper(heat(1), grid, tg, "centered"))
+        assert report.route == "generator"
+        log_mu = np.sort(np.log10(np.abs(report.eigenvalues)))
         dense = np.sort(np.log10(np.abs(
             np.linalg.eigvals(dense_propagator(heat(1), grid, tg, "centered"))
         )))
         assert log_mu == pytest.approx(dense, abs=1e-10)
 
     def test_rejects_nonsymmetric_generator(self, grid1d):
+        # the generator route refuses a nonsymmetric A_h; the dense Q answers
         grid = grid1d(15)
         tg = TimeGrid(T=1.0, steps=32)
-        with pytest.raises(NumericalBreakdown):
-            structured_log_spectrum(drift([2.0]), grid, tg, "upwind")
+        report = spectral_analysis(ThetaStepper(drift([2.0]), grid, tg, "upwind"))
+        assert report.route == "dense"
+        dense = np.linalg.eigvals(dense_propagator(drift([2.0]), grid, tg, "upwind"))
+        assert np.array_equal(report.eigenvalues, dense)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from profile_shift import (
+    CoefficientField,
     ProfileShift,
     ThetaStepper,
     TimeGrid,
@@ -218,14 +219,36 @@ class TestPosedness:
         c_short = short.records[0].cond_identity_minus_Q
         assert c_short > 5.0 * c_long
 
+    def test_time_dependent_field_uses_dense_q(self):
+        # a = 1 + 3t: the spectrum of A_h(0) alone gave log10 cond(Q) = 6.11
+        # and log10 rho = -0.416; Q's singular values and eigenvalues say otherwise
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: np.array([[1.0 + 3.0 * t]]),
+            f=lambda x, t: np.zeros(1),
+            q=lambda x, t: 0.0,
+            delta=1.0,
+            time_dependent=True,
+        )
+        domain = interval(0.0, np.pi)
+        record = compare_posedness(
+            coeffs, domain, 1.0, (7,), steps=16, theta=1.0, advection_mode="centered"
+        ).records[0]
+        q = dense_propagator(
+            coeffs, build_grid(domain, [7]), TimeGrid(T=1.0, steps=16, theta=1.0), "centered"
+        )
+        sing = np.linalg.svd(q, compute_uv=False)
+        assert record.log10_cond_Q == pytest.approx(np.log10(sing[0] / sing[-1]), rel=1e-12)
+        assert record.log10_cond_Q == pytest.approx(9.96, abs=0.01)
+        assert np.log10(record.spectral_radius) == pytest.approx(-1.024, abs=1e-3)
+
     def test_absorption_shrinks_spectral_radius(self, grid1d):
         grid = grid1d(31)
         tg = TimeGrid(T=1.0, steps=64)
         rho = []
         for rate in (0.0, 0.5, 1.0):
             coeffs = heat(1) if rate == 0.0 else absorb(rate, 1)
-            q = dense_propagator(coeffs, grid, tg)
-            rho.append(spectral_analysis(q).spectral_radius)
+            rho.append(spectral_analysis(ThetaStepper(coeffs, grid, tg)).spectral_radius)
         assert rho[0] > rho[1] > rho[2]
 
 
