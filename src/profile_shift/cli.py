@@ -15,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
@@ -37,6 +38,7 @@ from .errors import (
 from .fredholm import (
     ProfileShift,
     dense_propagator,
+    normalize,
     solve_profile_shift,
     spectral_analysis,
 )
@@ -51,8 +53,9 @@ from .operators import (
     tabulated,
     validate_coefficients,
 )
-from .propagator import ThetaStepper, TimeGrid, Trajectory
+from .propagator import ThetaStepper, TimeGrid, Trajectory, propagate
 from .validation import (
+    ShiftCheck,
     check_fixed_shift,
     check_mass,
     check_positivity,
@@ -600,16 +603,30 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
     checks = [{"name": "coefficients", "passed": True, "detail": coefficient_check}]
 
-    result = _solve(config, config.shift, stepper)
-    shift_check = check_fixed_shift(result.trajectory, config.shift.gamma, config.tol)
+    # One block solve: the configured gamma is column 0 and the five random
+    # shifts, one (5, M) draw, the rest.  A zero gamma forces zeta = 0 and
+    # stays out of the block.
+    gamma = config.shift.gamma
+    gamma_norm = float(np.linalg.norm(gamma))
+    in_block = gamma_norm > 0.0
+    gammas = np.random.default_rng(0).standard_normal((5, grid.size)).T
+    if in_block:
+        gammas = np.column_stack([gamma, gammas])
+    block = check_random_shifts(stepper, gammas, config.tol, config.max_iter, config.restart)
+    shift_check = block.columns(0) if in_block else ShiftCheck(0.0, config.tol, True)
     checks.append({
         "name": "fixed_shift",
         "passed": shift_check.passed,
         "detail": {"residual": shift_check.residual, "tol": shift_check.tol},
     })
-    if result.normalized is not None:
-        positivity = check_positivity(result.normalized)
-        mass_defect = check_mass(result.normalized)
+    if config.shift.nonneg:
+        zeta = gamma_norm * block.zeta[:, 0]
+        trajectory = propagate(
+            zeta, 0.0, coeffs, grid, timegrid, config.advection_mode, stepper=stepper
+        )
+        _, normalized = normalize(trajectory)
+        positivity = check_positivity(normalized)
+        mass_defect = check_mass(normalized)
         checks.append({
             "name": "positivity",
             "passed": positivity.passed,
@@ -624,12 +641,8 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
             "detail": {"defect": mass_defect},
         })
 
-    rng = np.random.default_rng(0)
-    # one (M, 5) block solve; the draws equal five standard_normal(M) calls
-    shifts = check_random_shifts(
-        stepper, rng.standard_normal((5, grid.size)).T,
-        config.tol, config.max_iter, config.restart,
-    )
+    random = slice(int(in_block), None)
+    shifts = block.columns(random)
     checks.append({
         "name": "random_shifts",
         "passed": shifts.passed,
@@ -637,13 +650,13 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     })
 
     if stepper.m_matrix_certified and timegrid.theta == 1.0:
-        # one (M, 3) block march; the draws equal three standard_normal(M) calls
-        x = rng.standard_normal((3, grid.size)).T
-        growth = np.abs(stepper.run(x)).max(axis=0) / np.abs(x).max(axis=0)
+        # the random columns of Z and their march QZ, from the block solve
+        z, qz = block.zeta[:, random], block.terminal[:, random]
+        growth = np.abs(qz).max(axis=0) / np.abs(z).max(axis=0)
         checks.append({
             "name": "max_norm_contraction",
             "passed": bool(np.all(growth <= 1.0 + 1e-12)),
-            "detail": {"trials": 3, "worst_growth": float(growth.max())},
+            "detail": {"trials": 5, "worst_growth": float(growth.max())},
         })
 
     report = {
@@ -683,8 +696,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+
+
 def _jsonable(obj):
     """Recursively convert dataclasses (as their fields) and numpy values to JSON-native ones."""
+    # Most leaves are plain; exact types keep subclasses such as np.float64
+    # on the general path below.
+    kind = type(obj)
+    if kind in _PLAIN_TYPES or (kind is float and math.isfinite(obj)):
+        return obj
     if is_dataclass(obj):
         obj = vars(obj)
     if isinstance(obj, dict):

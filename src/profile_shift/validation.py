@@ -45,23 +45,51 @@ def check_fixed_shift(trajectory: Trajectory, gamma: np.ndarray, tol: float = 1e
     return ShiftCheck(residual=residual, tol=tol, passed=residual <= tol)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockShiftCheck:
+    """One block solve of (I - Q) Z = G over unit-norm columns, with its march.
+
+    ``residuals[j]`` is column j's relative residual
+    ||z_j - (QZ)_j - g_j|| / ||g_j||; ``zeta`` is Z, shape (M, k), and
+    ``terminal`` is QZ, the march of Z that GMRES's last matvec made.
+    ``residual`` and ``passed`` are those of the worst column.
+    """
+
+    residuals: np.ndarray
+    tol: float
+    zeta: np.ndarray
+    terminal: np.ndarray
+
+    @property
+    def residual(self) -> float:
+        return float(self.residuals.max())
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tol
+
+    def columns(self, index) -> ShiftCheck:
+        """The worst of the columns picked by ``index`` (an int or a slice)."""
+        worst = float(np.max(self.residuals[index]))
+        return ShiftCheck(residual=worst, tol=self.tol, passed=worst <= self.tol)
+
+
 def check_random_shifts(
     stepper: ThetaStepper,
     gammas: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 200,
     restart: int = 50,
-) -> ShiftCheck:
+) -> BlockShiftCheck:
     """Solve (I - Q) Z = G for the columns of ``gammas`` (M, k) at once.
 
     Each column is scaled to unit norm first, so the block's stopping bound
     (see ``_gmres_identity_minus_q``) holds every column to tol whatever the
-    spread of their norms.  One block GMRES solve gives Z, and the march of
-    Z that GMRES's last matvec made gives QZ, so Z is not marched again.
-    The residual reported is the worst ||z_j - (QZ)_j - g_j|| / ||g_j|| of
-    the scaled system; the ratio does not depend on the scale in exact
-    arithmetic, but in floating point it differs from the unscaled solve's
-    in its trailing digits.
+    spread of their norms; Z solves the scaled system.  One block GMRES
+    solve gives Z, and the march of Z that GMRES's last matvec made gives
+    QZ, so Z is not marched again.  The residuals do not depend on the scale
+    in exact arithmetic, but in floating point they differ from the
+    unscaled solve's in their trailing digits.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 2 or gammas.shape[0] != stepper.grid.size:
@@ -73,9 +101,8 @@ def check_random_shifts(
         raise ValueError("every column of gammas must be nonzero")
     unit = gammas / norms
     zeta, _, qz = _gmres_identity_minus_q(stepper, unit, tol, max_iter, restart)
-    defect = zeta - qz - unit
-    residual = float(np.max(_column_norms(defect) / _column_norms(unit)))
-    return ShiftCheck(residual=residual, tol=tol, passed=residual <= tol)
+    residuals = _column_norms(zeta - qz - unit) / _column_norms(unit)
+    return BlockShiftCheck(residuals=residuals, tol=tol, zeta=zeta, terminal=qz)
 
 
 @dataclass(frozen=True)
@@ -119,10 +146,13 @@ def check_mass(p_trajectory: Trajectory) -> float:
 
 @dataclass(frozen=True)
 class PosednessRecord:
+    """One rung of the ladder; ``route`` is the spectral route that gave its values."""
+
     M: int
     cond_identity_minus_Q: float
     log10_cond_Q: float
     spectral_radius: float
+    route: str
 
 
 @dataclass(frozen=True)
@@ -171,6 +201,7 @@ def compare_posedness(
                 cond_identity_minus_Q=report.cond_identity_minus_Q,
                 log10_cond_Q=report.log10_cond_Q,
                 spectral_radius=report.spectral_radius,
+                route=report.route,
             )
         )
     if len(records) >= 2:

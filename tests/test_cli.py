@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ from profile_shift import (
     propagate,
 )
 from profile_shift.cli import (
+    _jsonable,
     _write_trajectory_csv,
     config_from_dict,
     main,
@@ -28,6 +30,8 @@ from profile_shift.cli import (
     run,
 )
 from profile_shift.fredholm import DENSE_CAP, _dense_spectrum
+from profile_shift.validation import check_random_shifts
+import profile_shift.cli as cli
 import profile_shift.fredholm as fredholm
 import profile_shift.operators as operators
 import profile_shift.propagator as propagator
@@ -535,6 +539,7 @@ class TestPosednessCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert [r["M"] for r in report["records"]] == [7, 15]
+        assert [r["route"] for r in report["records"]] == ["generator", "generator"]
         assert all(r["cond_identity_minus_Q"] <= 2.0 for r in report["records"])
 
     def test_tabulated_rejected(self, tmp_path):
@@ -569,6 +574,19 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(path)]) == 2
 
 
+def march_shapes(monkeypatch):
+    """Record the shape of every array ThetaStepper.run marches."""
+    shapes = []
+    run = ThetaStepper.run
+
+    def counted(stepper, values, start_index=0, keep=False):
+        shapes.append(values.shape)
+        return run(stepper, values, start_index, keep)
+
+    monkeypatch.setattr(ThetaStepper, "run", counted)
+    return shapes
+
+
 class TestValidateCommand:
     def test_certified_upwind_includes_contraction_probe(self, tmp_path):
         out = tmp_path / "out"
@@ -586,9 +604,17 @@ class TestValidateCommand:
         assert report["m_matrix_certified"] is True
         assert all(c["passed"] for c in report["checks"])
 
-    def test_random_stream_is_pinned(self, tmp_path):
-        # default_rng(0) gives five shifts as one (5, M) draw, then the
-        # contraction probe's three columns as one (3, M) draw.
+    def test_random_stream_is_pinned(self, tmp_path, monkeypatch):
+        # default_rng(0) gives the five random shifts as one (5, M) draw; they
+        # follow the configured gamma in one block, and the contraction probe
+        # reads that block's Z and QZ instead of drawing columns of its own.
+        blocks = []
+
+        def spy(stepper, gammas, *args):
+            blocks.append((stepper, gammas, check_random_shifts(stepper, gammas, *args)))
+            return blocks[-1][2]
+
+        monkeypatch.setattr(cli, "check_random_shifts", spy)
         out = tmp_path / "out"
         path = write_config(
             tmp_path,
@@ -600,16 +626,99 @@ class TestValidateCommand:
         )
         assert main(["validate", "--config", str(path), "--quiet"]) == 0
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
-        rng = np.random.default_rng(0)
-        rng.standard_normal((5, 49))
-        probe = rng.standard_normal((3, 49)).T
+        [(used, gammas, block)] = blocks
+        gamma = parse_config(path).shift.gamma
+        draw = np.random.default_rng(0).standard_normal((5, 49)).T
+        assert np.array_equal(gammas, np.column_stack([gamma, draw]))
         stepper = ThetaStepper(
             drift((1.0, -0.6), 0.4), build_grid(box2d(), [7, 7]), TimeGrid(T=1.0, steps=8)
         )
-        growth = np.abs(stepper.run(probe)).max(axis=0) / np.abs(probe).max(axis=0)
-        assert checks["max_norm_contraction"]["detail"]["worst_growth"] == growth.max()
+        assert stepper is not used
+        z = block.zeta
+        growth = np.abs(stepper.run(z)[:, 1:]).max(axis=0) / np.abs(z[:, 1:]).max(axis=0)
+        contraction = checks["max_norm_contraction"]["detail"]
+        assert contraction == {"trials": 5, "worst_growth": growth.max()}
         shifts = checks["random_shifts"]["detail"]
         assert shifts["trials"] == 5 and shifts["worst_residual"] <= shifts["tol"] == 1e-10
+        assert shifts["worst_residual"] == block.residuals[1:].max()
+        assert checks["fixed_shift"]["detail"]["residual"] == block.residuals[0]
+
+    def test_nonneg_gamma_reports_positivity_and_mass(self, tmp_path, marches, gmres_spy):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, outputs={"directory": str(out)})
+        assert main(["validate", "--config", str(path), "--quiet"]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        positivity = checks["positivity"]
+        assert positivity["passed"] and positivity["detail"]["violation_count"] == 0
+        assert set(positivity["detail"]) == {"min_value_global", "violation_count"}
+        assert checks["mass"]["passed"] and checks["mass"]["detail"]["defect"] <= 1e-12
+        # the block's marches, then one march of zeta for the trajectory
+        assert len(marches) == gmres_spy["iterations"] + 2
+
+    def test_positivity_violation_fails_with_exit_4(self, tmp_path):
+        # one Crank-Nicolson step against a sharp indicator overshoots below zero
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            N_t=1, theta=0.5,
+            gamma={"indicator": {"box": [[1.5, 1.65]]}, "nonneg": True},
+            outputs={"directory": str(out)},
+        )
+        assert main(["validate", "--config", str(path), "--quiet"]) == 4
+        report = json.loads((out / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert report["passed"] is False
+        assert checks["positivity"]["passed"] is False
+        assert checks["positivity"]["detail"]["violation_count"] >= 1
+        assert checks["fixed_shift"]["passed"] and checks["random_shifts"]["passed"]
+
+    def test_zero_gamma_stays_out_of_the_block(self, tmp_path, monkeypatch):
+        shapes = march_shapes(monkeypatch)
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            coefficients={"preset": "drift", "velocity": [1.5], "absorption": 0.25},
+            gamma={"table": [0.0] * 63},
+            outputs={"directory": str(out)},
+        )
+        assert main(["validate", "--config", str(path), "--quiet"]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        assert checks["fixed_shift"] == {
+            "name": "fixed_shift", "passed": True, "detail": {"residual": 0.0, "tol": 1e-10},
+        }
+        assert "positivity" not in checks and "mass" not in checks
+        assert checks["max_norm_contraction"]["detail"]["trials"] == 5
+        assert set(shapes) == {(63, 5)}
+
+    def test_signed_gamma_marches_one_block(self, tmp_path, monkeypatch, gmres_spy):
+        shapes = march_shapes(monkeypatch)
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            coefficients={"preset": "drift", "velocity": [1.5], "absorption": 0.25},
+            gamma={"eigenfunction": 2},
+            outputs={"directory": str(out)},
+        )
+        assert main(["validate", "--config", str(path), "--quiet"]) == 0
+        names = [c["name"] for c in json.loads((out / "report.json").read_text())["checks"]]
+        assert names == [
+            "coefficients", "fixed_shift", "random_shifts", "max_norm_contraction",
+        ]
+        # a march per GMRES iteration and one for the true residual, each of
+        # the whole block; the probe and the trajectory march nothing more
+        assert len(shapes) == gmres_spy["iterations"] + 1
+        assert set(shapes) == {(63, 6)}
+
+    def test_unconverged_block_is_3(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            T=0.01, N_t=4,
+            gamma={"indicator": {"box": [[1.0, 2.0]]}},
+            solver={"max_iter": 1, "restart": 1},
+            outputs={"directory": str(tmp_path / "out")},
+        )
+        assert main(["validate", "--config", str(path)]) == 3
+        assert "solver error" in capsys.readouterr().err
 
     def test_crank_nicolson_skips_contraction_probe(self, tmp_path):
         out = tmp_path / "out"
@@ -621,6 +730,59 @@ class TestValidateCommand:
         report = json.loads((out / "report.json").read_text())
         names = [c["name"] for c in report["checks"]]
         assert "max_norm_contraction" not in names
+
+
+def _jsonable_without_fast_path(obj):
+    """_jsonable as it was before plain leaves returned early."""
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        return {k: _jsonable_without_fast_path(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_without_fast_path(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable_without_fast_path(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    value: float
+    values: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class _Node:
+    leaf: _Leaf
+    table: np.ndarray
+
+
+def test_jsonable_output_is_unchanged_by_the_fast_path():
+    leaves = [
+        "s", 3, -7, True, False, None, 0.5, -0.0, 1e308, 5e-324,
+        math.nan, math.inf, -math.inf,
+        np.float64(2.5), np.float64(math.nan), np.float64(-math.inf), np.float64(-0.0),
+        np.int64(-4), np.bool_(True), np.float32(0.1),
+    ]
+    obj = {
+        "leaves": leaves,
+        "tuple": tuple(leaves),
+        "nested": _Node(
+            _Leaf(np.float64(1.25), (1, math.nan, np.int64(2))),
+            np.array([[0.0, -0.0], [math.inf, math.nan]]),
+        ),
+        "ints": np.arange(3),
+        "flags": np.array([True, False]),
+    }
+    expected = json.dumps(_jsonable_without_fast_path(obj), indent=2)
+    assert json.dumps(_jsonable(obj), indent=2) == expected
+    assert json.dumps(_jsonable(leaves), indent=2) == json.dumps(
+        _jsonable_without_fast_path(leaves), indent=2
+    )
 
 
 class TestRunApi:

@@ -18,6 +18,7 @@ from profile_shift import (
     compare_posedness,
     convergence_study,
     dense_propagator,
+    drift,
     heat,
     interval,
     solve_profile_shift,
@@ -210,6 +211,13 @@ class TestPosedness:
         # refinement drives the leading eigenvalue toward e^{-T}
         assert abs(rhos[-1] - EXP_M1) < abs(rhos[0] - EXP_M1)
         assert np.isfinite(report.slope_vs_M2) and report.slope_vs_M2 > 0.0
+
+    def test_records_name_their_route(self):
+        domain = interval(0.0, np.pi)
+        heat_ladder = compare_posedness(heat(1), domain, 1.0, (7, 15), steps=32)
+        assert [r.route for r in heat_ladder.records] == ["generator", "generator"]
+        drift_ladder = compare_posedness(drift([1.0]), domain, 1.0, (7, 15), steps=32)
+        assert [r.route for r in drift_ladder.records] == ["dense", "dense"]
 
     def test_small_horizon_degrades_forward_conditioning(self):
         domain = interval(0.0, np.pi)
