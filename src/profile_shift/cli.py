@@ -15,7 +15,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import platform
 import sys
 import time
@@ -613,17 +612,24 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     if in_block:
         gammas = np.column_stack([gamma, gammas])
     block = check_random_shifts(stepper, gammas, config.tol, config.max_iter, config.restart)
-    shift_check = block.columns(0) if in_block else ShiftCheck(0.0, config.tol, True)
+    if config.shift.nonneg:
+        # positivity and mass are checked on a march of ||gamma|| z_0, so
+        # fixed_shift reports that trajectory's own residual
+        zeta = gamma_norm * block.zeta[:, 0]
+        trajectory = propagate(
+            zeta, 0.0, coeffs, grid, timegrid, config.advection_mode, stepper=stepper
+        )
+        shift_check = check_fixed_shift(trajectory, gamma, config.tol)
+    elif in_block:
+        shift_check = block.columns(0)
+    else:
+        shift_check = ShiftCheck(0.0, config.tol, True)
     checks.append({
         "name": "fixed_shift",
         "passed": shift_check.passed,
         "detail": {"residual": shift_check.residual, "tol": shift_check.tol},
     })
     if config.shift.nonneg:
-        zeta = gamma_norm * block.zeta[:, 0]
-        trajectory = propagate(
-            zeta, 0.0, coeffs, grid, timegrid, config.advection_mode, stepper=stepper
-        )
         _, normalized = normalize(trajectory)
         positivity = check_positivity(normalized)
         mass_defect = check_mass(normalized)
@@ -696,16 +702,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
-
-
 def _jsonable(obj):
     """Recursively convert dataclasses (as their fields) and numpy values to JSON-native ones."""
-    # Most leaves are plain; exact types keep subclasses such as np.float64
-    # on the general path below.
-    kind = type(obj)
-    if kind in _PLAIN_TYPES or (kind is float and math.isfinite(obj)):
-        return obj
     if is_dataclass(obj):
         obj = vars(obj)
     if isinstance(obj, dict):

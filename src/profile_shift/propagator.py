@@ -310,6 +310,4 @@ def apply_Q(
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
     """2-norm of a vector, or of each column of a block."""
-    if x.ndim == 1:
-        return np.sqrt(np.dot(x, x))  # half the cost of einsum's call on a vector
     return np.sqrt(np.einsum("i...,i...->...", x, x))

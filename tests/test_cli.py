@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +21,6 @@ from profile_shift import (
     propagate,
 )
 from profile_shift.cli import (
-    _jsonable,
     _write_trajectory_csv,
     config_from_dict,
     main,
@@ -30,7 +28,7 @@ from profile_shift.cli import (
     run,
 )
 from profile_shift.fredholm import DENSE_CAP, _dense_spectrum
-from profile_shift.validation import check_random_shifts
+from profile_shift.validation import check_fixed_shift, check_random_shifts
 import profile_shift.cli as cli
 import profile_shift.fredholm as fredholm
 import profile_shift.operators as operators
@@ -643,11 +641,27 @@ class TestValidateCommand:
         assert shifts["worst_residual"] == block.residuals[1:].max()
         assert checks["fixed_shift"]["detail"]["residual"] == block.residuals[0]
 
-    def test_nonneg_gamma_reports_positivity_and_mass(self, tmp_path, marches, gmres_spy):
+    def test_nonneg_gamma_reports_positivity_and_mass(
+        self, tmp_path, monkeypatch, marches, gmres_spy
+    ):
+        trajectories = []
+
+        def spy(*args, **kwargs):
+            trajectories.append(propagate(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(cli, "propagate", spy)
         out = tmp_path / "out"
         path = write_config(tmp_path, outputs={"directory": str(out)})
         assert main(["validate", "--config", str(path), "--quiet"]) == 0
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        # fixed_shift is the residual of the very trajectory checked below
+        [trajectory] = trajectories
+        gamma = parse_config(path).shift.gamma
+        fixed = checks["fixed_shift"]
+        assert fixed["passed"] and fixed["detail"] == {
+            "residual": check_fixed_shift(trajectory, gamma).residual, "tol": 1e-10,
+        }
         positivity = checks["positivity"]
         assert positivity["passed"] and positivity["detail"]["violation_count"] == 0
         assert set(positivity["detail"]) == {"min_value_global", "violation_count"}
@@ -730,59 +744,6 @@ class TestValidateCommand:
         report = json.loads((out / "report.json").read_text())
         names = [c["name"] for c in report["checks"]]
         assert "max_norm_contraction" not in names
-
-
-def _jsonable_without_fast_path(obj):
-    """_jsonable as it was before plain leaves returned early."""
-    if dataclasses.is_dataclass(obj):
-        obj = vars(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable_without_fast_path(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable_without_fast_path(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable_without_fast_path(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
-@dataclasses.dataclass(frozen=True)
-class _Leaf:
-    value: float
-    values: tuple
-
-
-@dataclasses.dataclass(frozen=True)
-class _Node:
-    leaf: _Leaf
-    table: np.ndarray
-
-
-def test_jsonable_output_is_unchanged_by_the_fast_path():
-    leaves = [
-        "s", 3, -7, True, False, None, 0.5, -0.0, 1e308, 5e-324,
-        math.nan, math.inf, -math.inf,
-        np.float64(2.5), np.float64(math.nan), np.float64(-math.inf), np.float64(-0.0),
-        np.int64(-4), np.bool_(True), np.float32(0.1),
-    ]
-    obj = {
-        "leaves": leaves,
-        "tuple": tuple(leaves),
-        "nested": _Node(
-            _Leaf(np.float64(1.25), (1, math.nan, np.int64(2))),
-            np.array([[0.0, -0.0], [math.inf, math.nan]]),
-        ),
-        "ints": np.arange(3),
-        "flags": np.array([True, False]),
-    }
-    expected = json.dumps(_jsonable_without_fast_path(obj), indent=2)
-    assert json.dumps(_jsonable(obj), indent=2) == expected
-    assert json.dumps(_jsonable(leaves), indent=2) == json.dumps(
-        _jsonable_without_fast_path(leaves), indent=2
-    )
 
 
 class TestRunApi:

@@ -101,15 +101,6 @@ class TestStep:
         out = ThetaStepper._check_inner(solve(rhs), rhs, broken, implicit, 1.0)
         assert np.array_equal(out, rhs)
 
-    def test_column_norms_of_a_vector_and_of_a_block(self, rng):
-        block = rng.standard_normal((255, 3))
-        norms = propagator._column_norms(block)
-        for j in range(3):
-            norm = propagator._column_norms(block[:, j])
-            assert np.ndim(norm) == 0
-            assert norm == pytest.approx(norms[j], rel=1e-15)
-            assert norm == pytest.approx(np.linalg.norm(block[:, j]), rel=1e-15)
-
     def test_step_factorization_keeps_fill_low(self, grid2d):
         # minimum degree on B^T + B gives a fill of 5.51 here; SuperLU's
         # default COLAMD ordering gives 9.28
