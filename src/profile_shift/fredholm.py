@@ -19,7 +19,8 @@ against explicit linear algebra on small grids.  For time-independent
 coefficients it steps the identity once, giving the one-step matrix S, and
 returns S^N_t, which differs from a march only by the rounding of the
 powers.  ``spectral_analysis`` is the one place that picks a spectral route:
-eigvalsh of a symmetric, time-independent A_h, or else the dense Q_h.
+the eigenvalues of a symmetric, time-independent A_h, from its band, or
+else the dense Q_h.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -184,7 +186,11 @@ def _gmres_identity_minus_q(
     returns; so the last pair is reused when its input equals zeta bit for
     bit, and zeta is marched again otherwise.  A NoConvergence names the
     largest relative residual ||r_j|| / ||g_j||, read from the same pair.
+    A tol outside (0, 1) is refused: from tol >= 1, zeta = 0 already meets
+    the bound, and GMRES would return it after no iteration.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     shape = gamma.shape
     rhs = gamma.ravel(order="F")
     columns = rhs.reshape((shape[0], -1), order="F")
@@ -331,10 +337,11 @@ def spectral_analysis(stepper: ThetaStepper, q_matrix: np.ndarray | None = None)
 
     When the coefficients do not depend on time and the stepper's A_h is
     exactly symmetric, Q_h = m(A_h)^N_t shares its eigenvectors, so every
-    value follows from eigvalsh(A_h) and no dense Q_h is built (the generator
-    route).  Otherwise the dense Q_h is decomposed: ``q_matrix`` if the caller
-    has built it, else ``dense_propagator`` on the stepper (the dense route).
-    Both hold M x M arrays, so both refuse grids above DENSE_CAP nodes.
+    value follows from the eigenvalues of A_h, taken from its band by
+    eigvals_banded, and no dense Q_h is built (the generator route).
+    Otherwise the dense Q_h is decomposed: ``q_matrix`` if the caller has
+    built it, else ``dense_propagator`` on the stepper (the dense route).
+    Both routes refuse grids above DENSE_CAP nodes.
     log10 cond(Q_h) leaves the double range on fine grids; only the generator
     route resolves it there, as the dense route's SVD saturates near 1e19.
     """
@@ -360,7 +367,7 @@ def _generator_spectrum(generator, timegrid: TimeGrid) -> SpectralReport:
     1e300 stay representable.  Q_h is symmetric: its singular values are |mu|
     and those of I - Q_h are |1 - mu|.
     """
-    lam = scipy.linalg.eigvalsh(generator.toarray())
+    lam = _banded_eigvalsh(generator)
     theta, steps = timegrid.theta, timegrid.steps
     # The explicit factor can cross zero under Crank-Nicolson, so fall back
     # from log1p to log|.| away from the well-conditioned neighborhood of 1.
@@ -379,6 +386,19 @@ def _generator_spectrum(generator, timegrid: TimeGrid) -> SpectralReport:
         cond_identity_minus_Q=float(gap.max() / gap.min()),
         route="generator",
     )
+
+
+def _banded_eigvalsh(matrix) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric sparse matrix, from its lower band.
+
+    The half-bandwidth is read from the matrix, max(row - col), so any node
+    numbering (a masked grid, a mixed term's diagonal neighbours) is served.
+    """
+    lower = scipy.sparse.tril(matrix).tocoo()
+    offset = lower.row - lower.col
+    band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
+    band[offset, lower.col] = lower.data
+    return scipy.linalg.eigvals_banded(band, lower=True)
 
 
 def _dense_spectrum(q_matrix: np.ndarray, m: int) -> SpectralReport:

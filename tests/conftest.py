@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 # BLAS and OpenMP default to one thread per core, and on a shared 2-core
@@ -17,6 +18,13 @@ from profile_shift import box2d, build_grid, interval
 # One bound for every hypothesis property, so tier-1 stays short.
 settings.register_profile("tier1", max_examples=40, deadline=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running (solve forks a CSV writer)."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from profile_shift import (
     heat,
     interval,
     propagate,
+    solve_profile_shift,
 )
 from profile_shift.cli import (
     _write_trajectory_csv,
@@ -55,6 +58,35 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def sequential_csvs(cfg, directory):
+    """The solve's CSVs as _write_trajectory_csv writes them here, one after the other."""
+    result = solve_profile_shift(
+        cfg.shift, cfg.coeffs, cfg.grid, cfg.timegrid, cfg.advection_mode,
+        tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart,
+    )
+    directory.mkdir()
+    _write_trajectory_csv(directory / "trajectory.csv", result.trajectory, cfg.slice_stride)
+    if result.normalized is not None:
+        _write_trajectory_csv(
+            directory / "normalized_trajectory.csv", result.normalized, cfg.slice_stride
+        )
+    return directory
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Record the file name of every CSV a forked writer is started for."""
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def recorded(process):
+        started.append(process._args[0].name)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded)
+    return started
 
 
 class TestParseConfig:
@@ -290,6 +322,54 @@ class TestSolveCommand:
                 )
         assert path.read_bytes() == expected.read_bytes()
 
+    def test_concurrent_csvs_equal_sequential_writes(self, tmp_path, forks):
+        # 63 rows leave a partial last block; stride 5 over 64 steps keeps
+        # 0, 5, ..., 60 and the forced final slice
+        out = tmp_path / "out"
+        cfg = config_from_dict(base_config(outputs={"directory": str(out), "slice_stride": 5}))
+        bundle = run(cfg, "solve", quiet=True)
+        assert forks == ["normalized_trajectory.csv"]
+        assert list(bundle.files) == [
+            "report.json", "trajectory.csv", "normalized_trajectory.csv"
+        ]
+        expected = sequential_csvs(cfg, tmp_path / "expected")
+        for name in ("trajectory.csv", "normalized_trajectory.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    @pytest.mark.parametrize("blocked, message", [
+        ("trajectory.csv", "Is a directory: '{}'"),
+        ("normalized_trajectory.csv", "writing {} failed"),
+    ], ids=["in-process", "in-child"])
+    def test_unwritable_csv_raises_and_the_other_is_complete(
+        self, tmp_path, capfd, forks, blocked, message
+    ):
+        # a directory in a CSV's place fails its writer, in this process or
+        # in the forked child; the other file is still written in full
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
+        with pytest.raises(OSError, match=re.escape(message.format(out / blocked))):
+            run(cfg, "solve", quiet=True)
+        assert forks == ["normalized_trajectory.csv"]
+        assert multiprocessing.active_children() == []
+        if blocked == "normalized_trajectory.csv":
+            # the child's traceback gives the cause
+            assert "IsADirectoryError" in capfd.readouterr().err
+        expected = sequential_csvs(cfg, tmp_path / "expected")
+        (other,) = {"trajectory.csv", "normalized_trajectory.csv"} - {blocked}
+        assert (out / other).read_bytes() == (expected / other).read_bytes()
+
+    def test_signed_gamma_starts_no_process(self, tmp_path, forks):
+        out = tmp_path / "out"
+        cfg = config_from_dict(base_config(
+            gamma={"eigenfunction": 2}, outputs={"directory": str(out)}
+        ))
+        bundle = run(cfg, "solve", quiet=True)
+        assert forks == []
+        assert list(bundle.files) == ["report.json", "trajectory.csv"]
+        expected = sequential_csvs(cfg, tmp_path / "expected")
+        assert (out / "trajectory.csv").read_bytes() == (expected / "trajectory.csv").read_bytes()
+
     def test_metadata_manifest_hashes_match(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, outputs={"directory": str(out)})
@@ -366,9 +446,15 @@ class TestExitCodes:
                                   "mask": [[1, 1, 1], [1, 0, 1], [1, 1, 1]]},
                        "resolution": 3},
          "domain.mask", "bound to the config's resolution"),
+        # from tol >= 1 GMRES would return zeta = 0 after no iteration
+        ("solve", {"gamma": {"eigenfunction": 2}, "solver": {"tol": 2.0}},
+         "solver.tol", "must lie in (0, 1)"),
+        ("solve", {"solver": {"tol": 1.0}}, "solver.tol", "must lie in (0, 1)"),
+        ("validate", {"gamma": {"eigenfunction": 2}, "solver": {"tol": math.inf}},
+         "solver.tol", "must lie in (0, 1)"),
     ], ids=["T-inf-solve", "T-inf-posedness", "box-inf", "axx-nan", "rate-nan", "preset-list",
             "tabulated-extra-field", "table-length-spectrum", "nonneg-conflict", "delta-inf",
-            "mask-posedness"])
+            "mask-posedness", "tol-2-solve", "tol-1-nonneg-solve", "tol-inf-validate"])
     def test_config_value_error_names_field(self, tmp_path, capsys, command, overrides,
                                             field, cause):
         path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)

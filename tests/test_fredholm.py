@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from profile_shift import (
     CoefficientField,
@@ -14,8 +15,10 @@ from profile_shift import (
     TooLarge,
     Trajectory,
     apply_Q,
+    anisotropic,
     box2d,
     build_grid,
+    check_random_shifts,
     dense_propagator,
     drift,
     heat,
@@ -25,7 +28,12 @@ from profile_shift import (
     solve_profile_shift,
     spectral_analysis,
 )
-from profile_shift.fredholm import DENSE_CAP, _dense_spectrum, _gmres_identity_minus_q
+from profile_shift.fredholm import (
+    DENSE_CAP,
+    _banded_eigvalsh,
+    _dense_spectrum,
+    _gmres_identity_minus_q,
+)
 
 INV_GAP_1 = 1.5819767068693265  # 1 / (1 - e^-1)
 INV_GAP_4 = 1.018657360363774  # 1 / (1 - e^-4)
@@ -213,6 +221,17 @@ class TestSolve:
         zeta, _, _ = _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=200, restart=1)
         defect = zeta - stepper.run(zeta) - block
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10 * np.linalg.norm(block, axis=0))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, np.inf, np.nan])
+    def test_tolerance_must_lie_in_the_unit_interval(self, grid1d, tol):
+        # From tol >= 1, zeta = 0 meets GMRES's bound before any iteration.
+        grid = grid1d(31)
+        tg = TimeGrid(T=1.0, steps=8)
+        gamma = np.sin(2.0 * grid.coordinates()[:, 0])
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            solve_profile_shift(ProfileShift(gamma), heat(1), grid, tg, tol=tol)
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            check_random_shifts(ThetaStepper(heat(1), grid, tg), gamma[:, None], tol=tol)
 
     def test_gamma_shape_checked(self, grid1d):
         with pytest.raises(ValueError):
@@ -459,6 +478,26 @@ class TestStructuredSpectrum:
             np.linalg.eigvals(dense_propagator(heat(1), grid, tg, "centered"))
         )))
         assert log_mu == pytest.approx(dense, abs=1e-10)
+
+    @pytest.mark.parametrize("coeffs, mode", [
+        (heat(2), "upwind"),
+        (anisotropic(1.0, 0.5, 0.8, 0.2), "centered"),
+    ], ids=["heat", "mixed-term"])
+    def test_banded_eigenvalues_agree_with_eigvalsh_on_a_masked_grid(self, coeffs, mode):
+        # A hole renumbers the nodes, and a mixed term reaches the diagonal
+        # neighbours, so the half-bandwidth differs from row to row.
+        mask = np.ones((11, 11), dtype=bool)
+        mask[3:6, 2:8] = False
+        for domain in (box2d(), box2d(mask=mask)):
+            stepper = ThetaStepper(
+                coeffs, build_grid(domain, [11, 11]), TimeGrid(T=1.0, steps=16), mode
+            )
+            generator = stepper.generator.matrix
+            assert (generator != generator.T).nnz == 0
+            expected = scipy.linalg.eigvalsh(generator.toarray())
+            gap = np.abs(_banded_eigvalsh(generator) - expected).max()
+            assert gap <= 1e-12 * np.abs(expected).max()
+            assert spectral_analysis(stepper).route == "generator"
 
     def test_rejects_nonsymmetric_generator(self, grid1d):
         # the generator route refuses a nonsymmetric A_h; the dense Q answers
