@@ -6,7 +6,7 @@ posedness (well- vs ill-posed ladder), convergence (error orders against
 closed forms), validate (coefficient checks + property battery).
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 validation
-failure, 5 dense-oracle cap exceeded.
+failure, 5 dense-oracle cap exceeded, 6 an output file could not be written.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import datetime
 import hashlib
 import json
 import multiprocessing
+import os
 import platform
 import sys
 import time
@@ -478,6 +479,7 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
         "M": config.grid.size,
         "m_matrix_certified": stepper.m_matrix_certified,
         "iterations": result.iterations,
+        "residual_history": result.history,
         "relative_residual": result.relative_residual,
         "alpha": result.alpha,
         "checks": {"fixed_shift": shift_check},
@@ -679,14 +681,15 @@ def _write_trajectory_csvs(tables, stride: int):
     pair after the first is written by a child made by os.fork (POSIX only),
     which inherits its trajectory without a copy, while this process writes
     the first.  Every child is joined before this returns or raises; a child
-    that failed raises OSError naming its file.
+    that failed raises OSError naming its file, with the errno it exited
+    with when there is one (an exit code above 1).
     """
     (path, trajectory), *rest = tables
     children = []
     try:
         for child_path, child_trajectory in rest:
             child = multiprocessing.get_context("fork").Process(
-                target=_write_trajectory_csv, args=(child_path, child_trajectory, stride)
+                target=_write_in_child, args=(child_path, child_trajectory, stride)
             )
             child.start()
             children.append((child_path, child))
@@ -695,8 +698,22 @@ def _write_trajectory_csvs(tables, stride: int):
         for _, child in children:
             child.join()
     for child_path, child in children:
-        if child.exitcode != 0:
-            raise OSError(f"writing {child_path} failed (child exit code {child.exitcode})")
+        code = child.exitcode
+        if code > 1:  # the errno of the OSError that ended _write_in_child
+            raise OSError(code, os.strerror(code), str(child_path))
+        if code != 0:
+            raise OSError(f"writing {child_path} failed (child exit code {code})")
+
+
+def _write_in_child(path: Path, trajectory: Trajectory, stride: int):
+    """_write_trajectory_csv in a forked child, which exits with the errno of an OSError.
+
+    The parent reports the failure, so the child prints no traceback.
+    """
+    try:
+        _write_trajectory_csv(path, trajectory, stride)
+    except OSError as exc:
+        sys.exit(exc.errno or 1)
 
 
 def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
@@ -788,6 +805,11 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # the config was read by parse_config, so this is a write under the
+        # output directory
+        print(f"output error: {exc}", file=sys.stderr)
+        return 6
     return 0 if bundle.passed else 4
 
 

@@ -6,11 +6,11 @@ time-T propagator, the initial profile zeta satisfies the Fredholm system
 
     (I - Q) zeta = gamma,
 
-which is solved matrix-free with GMRES (each matvec is one full implicit
-time march).  GMRES ends with the true residual of the zeta it returns, so
-its last matvec has marched zeta already; that march is the trajectory, and
-zeta is marched again only when the last matvec's input differs from it.
-The trajectory is scaled to unit initial mass, giving the
+which is solved matrix-free by restarted block GMRES (each iteration is one
+full implicit time march of a basis block; a single gamma is a block of
+one).  Every cycle ends with a march of its zeta that gives the true
+residual, so the zeta returned has been marched already; that march is the
+trajectory.  The trajectory is scaled to unit initial mass, giving the
 probability-normalized pair (alpha, p).
 
 ``dense_propagator`` assembles Q_h from the same stepping engine and its
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg as spla
 
 from .errors import (
     NoConvergence,
@@ -84,11 +83,16 @@ class ProfileShift:
 
 @dataclass(frozen=True, eq=False)
 class FredholmReport:
-    """Outcome of one profile-shift solve."""
+    """Outcome of one profile-shift solve.
+
+    ``history`` holds the solver's estimate of ||r|| / ||gamma|| after each
+    iteration, so ``len(history) == iterations``.
+    """
 
     zeta: np.ndarray
     trajectory: Trajectory
     iterations: int
+    history: tuple[float, ...]
     relative_residual: float
     alpha: float | None
     normalized: Trajectory | None
@@ -107,14 +111,16 @@ def solve_profile_shift(
 ) -> FredholmReport:
     """Solve (I - Q) zeta = gamma matrix-free and rebuild the trajectory.
 
-    The GMRES tolerance is relative to ||gamma||.  ``max_iter`` counts
-    restart cycles, not iterations: each cycle runs up to ``restart``
-    iterations, so the defaults allow 200 x 50 = 10000.  After the solve the
-    two-time condition is re-verified from the reconstructed trajectory;
-    a violation beyond tol raises PostCheckFailure, so a returned report
-    is always self-consistent.  When the shift carries the nonneg flag the
-    report also holds the unit-mass pair (alpha, normalized trajectory).
+    The GMRES tolerance is relative to ||gamma|| and must lie in (0, 1).
+    ``max_iter`` counts restart cycles, not iterations: each cycle runs up
+    to ``restart`` iterations, so the defaults allow 200 x 50 = 10000.
+    After the solve the two-time condition is re-verified from the
+    trajectory, the march of zeta that ended the solve; a violation beyond
+    tol raises PostCheckFailure, so a returned report is always
+    self-consistent.  When the shift carries the nonneg flag the report also
+    holds the unit-mass pair (alpha, normalized trajectory).
     """
+    _check_tol(tol)
     gamma = shift.gamma
     if gamma.shape != (grid.size,):
         raise ValueError(
@@ -126,10 +132,10 @@ def solve_profile_shift(
     if gamma_norm == 0.0:
         # gamma = 0 forces zeta = 0: the unique fixed point of Q.
         zeta = np.zeros(grid.size)
-        iterations = 0
+        history = ()
         marched = engine.run(zeta, keep=True)
     else:
-        zeta, iterations, marched = _gmres_identity_minus_q(
+        zeta, history, marched = _gmres_identity_minus_q(
             engine, gamma, tol=tol, max_iter=max_iter, restart=restart, keep=True
         )
 
@@ -154,7 +160,8 @@ def solve_profile_shift(
     return FredholmReport(
         zeta=zeta,
         trajectory=trajectory,
-        iterations=iterations,
+        iterations=len(history),
+        history=history,
         relative_residual=relative_residual,
         alpha=alpha,
         normalized=normalized,
@@ -171,75 +178,101 @@ def _gmres_identity_minus_q(
 ):
     """Solve (I - Q) zeta = gamma for a vector (M,) or a block of columns (M, k).
 
-    GMRES runs on the stacked system I_k (x) (I - Q), whose unknown is the
-    block's columns one after another; each matvec marches the whole block,
-    so every column shares one Krylov polynomial and one march per
-    iteration.  The stopping bound is absolute, ||R||_F <= tol min_j ||g_j||,
-    which gives ||r_j|| <= tol ||g_j|| for every column; for one column it
-    is GMRES's relative bound.  The bound is set by the smallest column, so
-    the columns should be of like norm, and a zero column is refused.
+    Restarted block GMRES (Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., 6.12); for one column it is GMRES.  A cycle starts
+    from the residual R = V_0 S_0 and searches span{R, QR, Q^2 R, ...}: each
+    iteration marches its basis block V_j once, orthogonalizes (I - Q) V_j
+    against the basis by two passes of block Gram-Schmidt and takes the next
+    block from the QR of what is left, so every column gains a direction
+    per column of the block.  The small least-squares problem
+    min ||E_1 S_0 - H Y||_F in the block Hessenberg H is kept in QR form,
+    updated by one block rotation per iteration, which gives its residual
+    without solving it.  A rank-deficient block (repeated or dependent
+    columns, M < k, a basis that fills R^M) leaves zero or rounding-level
+    diagonal entries in the R factors, so H may be singular: Y is the
+    minimum-norm least-squares solution, which raises nothing.  A cycle ends after ``restart``
+    iterations (or ceil(M / k), past which the basis has no room), or once
+    the estimate meets the bound, with one march of Z made with ``keep``;
+    its true residual decides whether Z is returned or a new cycle starts,
+    so a breakdown may cost a cycle but never returns an unverified Z.
+    ``max_iter`` counts cycles.
 
-    Returns (zeta, iterations, marched): the solution in gamma's shape, the
-    number of iterations and marched = engine.run(zeta, keep=keep).  Each
-    matvec keeps its input and its march, dropping the previous pair first,
-    and scipy's gmres ends every cycle with the true residual of the x it
-    returns; so the last pair is reused when its input equals zeta bit for
-    bit, and zeta is marched again otherwise.  A NoConvergence names the
-    largest relative residual ||r_j|| / ||g_j||, read from the same pair.
-    A tol outside (0, 1) is refused: from tol >= 1, zeta = 0 already meets
-    the bound, and GMRES would return it after no iteration.
+    The stopping bound is absolute, ||R||_F <= tol min_j ||g_j||, which
+    gives ||r_j|| <= tol ||g_j|| for every column; for one column it is the
+    relative bound.  The bound is set by the smallest column, so the columns
+    should be of like norm, and a zero column is refused.
+
+    Returns (zeta, history, marched): the solution in gamma's shape, the
+    least-squares estimate of ||R||_F / min_j ||g_j|| after each iteration,
+    and marched = engine.run(zeta, keep=keep), the march that verified zeta.
+    A NoConvergence names the largest relative residual ||r_j|| / ||g_j|| of
+    the last cycle's march.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_tol(tol)
     shape = gamma.shape
-    rhs = gamma.ravel(order="F")
-    columns = rhs.reshape((shape[0], -1), order="F")
-    # np.linalg.norm of each column, as gmres computes ||b||, so that the
-    # bound of a single vector equals gmres's own relative bound bit for bit.
-    norms = np.array([np.linalg.norm(column) for column in columns.T])
+    columns = gamma.reshape(shape[0], -1)
+    m, k = columns.shape
+    norms = _column_norms(columns)
     if not norms.all():
         raise ValueError("every column of gamma must be nonzero")
-    last = None  # (input, engine.run(input, keep=keep)) of the latest matvec
+    bound = tol * float(norms.min())
 
-    def identity_minus_q(pair):
-        x, marched = pair
-        return x - (marched[-1] if keep else marched).ravel(order="F")
+    def identity_minus_q(block):
+        q_block = engine.run(block if gamma.ndim == 2 else block[:, 0])
+        return block - q_block.reshape(block.shape)
 
-    def matvec(x):
-        nonlocal last
-        last = None  # drop the previous march before the next starts
-        x = x.copy()
-        last = (x, engine.run(x.reshape(shape, order="F"), keep=keep))
-        return identity_minus_q(last)
-
-    op = spla.LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
+    zeta = np.zeros_like(columns)
+    residual = columns
     history: list[float] = []
-
-    def callback(pr_norm):
-        history.append(float(pr_norm))
-
-    zeta, info = spla.gmres(
-        op,
-        rhs,
-        rtol=0.0,
-        atol=tol * float(norms.min()),
-        restart=restart,
-        maxiter=max_iter,
-        callback=callback,
-        callback_type="pr_norm",
+    for _ in range(max_iter):
+        first, s0 = np.linalg.qr(residual)
+        p = first.shape[1]  # min(M, k)
+        length = min(restart, -(-m // p))
+        basis = np.empty((m, (length + 1) * p), order="F")
+        basis[:, :p] = first
+        # H = rotation @ [upper; 0] with rotation orthogonal, and
+        # rhs = rotation.T @ E_1 S_0, whose rows past upper's are the
+        # least-squares residual.
+        rotation, upper, rhs = np.eye(p), np.zeros((0, 0)), s0
+        for j in range(length):
+            lo, hi = j * p, (j + 1) * p
+            w = identity_minus_q(basis[:, lo:hi])
+            coefficients = np.zeros((hi, p))
+            for _ in range(2):
+                projection = basis[:, :hi].T @ w
+                w -= basis[:, :hi] @ projection
+                coefficients += projection
+            basis[:, hi:hi + p], below = np.linalg.qr(w)
+            column = rotation.T @ coefficients
+            q, r = np.linalg.qr(np.vstack([column[lo:], below]), mode="complete")
+            grown = np.eye(hi + p)
+            grown[:hi, :hi] = rotation
+            grown[:, lo:] = grown[:, lo:] @ q
+            rotation = grown
+            upper = np.block([[upper, column[:lo]], [np.zeros((p, lo)), r[:p]]])
+            rhs = np.vstack([rhs[:lo], q.T @ np.vstack([rhs[lo:], np.zeros((p, k))])])
+            estimate = float(np.linalg.norm(rhs[hi:]))
+            history.append(estimate / float(norms.min()))
+            if estimate <= bound:
+                break
+        y = np.linalg.lstsq(upper, rhs[:hi], rcond=None)[0]
+        zeta = zeta + basis[:, :hi] @ y
+        marched = None  # drop the previous cycle's march before the next starts
+        marched = engine.run(zeta.reshape(shape), keep=keep)
+        residual = columns - (zeta - (marched[-1] if keep else marched).reshape(m, k))
+        if np.linalg.norm(residual) <= bound:
+            return zeta.reshape(shape), tuple(history), marched
+    raise NoConvergence(
+        iterations=len(history),
+        residual=float(np.max(_column_norms(residual) / norms)),
+        theta=engine.timegrid.theta,
     )
-    iterations = len(history)
-    # Bytes, not values: -0.0 == 0.0, but the two march to different zeros.
-    if last is None or last[0].tobytes() != zeta.tobytes():
-        matvec(zeta)
-    if info != 0:
-        defect = (rhs - identity_minus_q(last)).reshape(columns.shape, order="F")
-        raise NoConvergence(
-            iterations=iterations,
-            residual=float(np.max(_column_norms(defect) / norms)),
-            theta=engine.timegrid.theta,
-        )
-    return zeta.reshape(shape, order="F"), iterations, last[1]
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tol outside (0, 1): from tol >= 1, zeta = 0 already meets the bound."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
 def normalize(trajectory: Trajectory) -> tuple[float, Trajectory]:

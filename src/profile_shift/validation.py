@@ -51,7 +51,7 @@ class BlockShiftCheck:
 
     ``residuals[j]`` is column j's relative residual
     ||z_j - (QZ)_j - g_j|| / ||g_j||; ``zeta`` is Z, shape (M, k), and
-    ``terminal`` is QZ, the march of Z that GMRES's last matvec made.
+    ``terminal`` is QZ, from the march of Z that ended the block solve.
     ``residual`` and ``passed`` are those of the worst column.
     """
 
@@ -86,8 +86,8 @@ def check_random_shifts(
     Each column is scaled to unit norm first, so the block's stopping bound
     (see ``_gmres_identity_minus_q``) holds every column to tol whatever the
     spread of their norms; Z solves the scaled system.  One block GMRES
-    solve gives Z, and the march of Z that GMRES's last matvec made gives
-    QZ, so Z is not marched again.  The residuals do not depend on the scale
+    solve gives Z, and the march that ended it, which verified Z, gives QZ,
+    so Z is not marched again.  The residuals do not depend on the scale
     in exact arithmetic, but in floating point they differ from the
     unscaled solve's in their trailing digits.
     """

@@ -70,32 +70,25 @@ def marches(monkeypatch):
 
 @pytest.fixture
 def gmres_spy(monkeypatch):
-    """Wrap scipy's gmres as the solver calls it, counting its matvecs and iterations.
+    """Wrap the package's GMRES routine, counting its calls and their iterations.
 
-    Set ``spy["after"]`` to a function of the operator and the returned x to
-    act between the real call and the return.
+    A call that ends in NoConvergence counts the iterations the error names.
     """
-    from scipy.sparse.linalg import LinearOperator
+    from profile_shift import NoConvergence, fredholm, validation
 
-    from profile_shift import fredholm
+    spy = {"calls": 0, "iterations": 0}
+    solve = fredholm._gmres_identity_minus_q
 
-    spy = {"matvecs": 0, "iterations": 0, "after": None}
-    gmres = fredholm.spla.gmres
+    def wrapped(*args, **kwargs):
+        spy["calls"] += 1
+        try:
+            result = solve(*args, **kwargs)
+        except NoConvergence as exc:
+            spy["iterations"] += exc.iterations
+            raise
+        spy["iterations"] += len(result[1])
+        return result
 
-    def wrapped(op, rhs, callback, **kwargs):
-        def matvec(x):
-            spy["matvecs"] += 1
-            return op.matvec(x)
-
-        def counted(pr_norm):
-            spy["iterations"] += 1
-            callback(pr_norm)
-
-        counted_op = LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
-        x, info = gmres(counted_op, rhs, callback=counted, **kwargs)
-        if spy["after"] is not None:
-            spy["after"](counted_op, x)
-        return x, info
-
-    monkeypatch.setattr(fredholm.spla, "gmres", wrapped)
+    for module in (fredholm, validation):
+        monkeypatch.setattr(module, "_gmres_identity_minus_q", wrapped)
     return spy

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -264,6 +265,8 @@ class TestSolveCommand:
         assert report["command"] == "solve"
         assert report["passed"] is True
         assert report["relative_residual"] <= 1e-10
+        history = report["residual_history"]
+        assert len(history) == report["iterations"] >= 1 and history[-1] <= 1e-10
         assert report["checks"]["fixed_shift"]["passed"] is True
         assert report["checks"]["mass"]["defect"] <= 1e-12
         assert (tmp_path / "out" / "trajectory.csv").exists()
@@ -336,28 +339,45 @@ class TestSolveCommand:
         for name in ("trajectory.csv", "normalized_trajectory.csv"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
-    @pytest.mark.parametrize("blocked, message", [
-        ("trajectory.csv", "Is a directory: '{}'"),
-        ("normalized_trajectory.csv", "writing {} failed"),
-    ], ids=["in-process", "in-child"])
+    @pytest.mark.parametrize("blocked", ["trajectory.csv", "normalized_trajectory.csv"],
+                             ids=["in-process", "in-child"])
     def test_unwritable_csv_raises_and_the_other_is_complete(
-        self, tmp_path, capfd, forks, blocked, message
+        self, tmp_path, capfd, forks, blocked
     ):
         # a directory in a CSV's place fails its writer, in this process or
-        # in the forked child; the other file is still written in full
+        # in the forked child; either way the error names the file and its
+        # cause, and the other file is still written in full
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
-        with pytest.raises(OSError, match=re.escape(message.format(out / blocked))):
+        message = f"[Errno {errno.EISDIR}] Is a directory: '{out / blocked}'"
+        with pytest.raises(OSError, match=re.escape(message)) as info:
             run(cfg, "solve", quiet=True)
+        assert info.value.errno == errno.EISDIR
         assert forks == ["normalized_trajectory.csv"]
         assert multiprocessing.active_children() == []
-        if blocked == "normalized_trajectory.csv":
-            # the child's traceback gives the cause
-            assert "IsADirectoryError" in capfd.readouterr().err
+        # the child exits without a traceback of its own
+        assert capfd.readouterr().err == ""
         expected = sequential_csvs(cfg, tmp_path / "expected")
         (other,) = {"trajectory.csv", "normalized_trajectory.csv"} - {blocked}
         assert (out / other).read_bytes() == (expected / other).read_bytes()
+
+    def test_child_error_without_errno_names_the_file(self, tmp_path, capfd, monkeypatch):
+        # exit code 1 carries no errno: the error names the file and the code
+        write = cli._write_trajectory_csv
+
+        def failing(path, trajectory, stride):
+            if path.name == "normalized_trajectory.csv":
+                raise OSError("no errno")
+            write(path, trajectory, stride)
+
+        monkeypatch.setattr(cli, "_write_trajectory_csv", failing)
+        out = tmp_path / "out"
+        cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
+        message = f"writing {out / 'normalized_trajectory.csv'} failed (child exit code 1)"
+        with pytest.raises(OSError, match=re.escape(message)):
+            run(cfg, "solve", quiet=True)
+        assert capfd.readouterr().err == ""
 
     def test_signed_gamma_starts_no_process(self, tmp_path, forks):
         out = tmp_path / "out"
@@ -509,6 +529,22 @@ class TestExitCodes:
         assert main(["solve", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "q is not finite" in err
+
+    @pytest.mark.parametrize("blocked", [
+        "trajectory.csv", "normalized_trajectory.csv", "report.json",
+    ])
+    def test_unwritable_output_is_6(self, tmp_path, capfd, blocked):
+        # one line that names the file, and no traceback from this process
+        # or from the forked CSV writer
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        path = write_config(tmp_path, outputs={"directory": str(out)})
+        assert main(["solve", "--config", str(path), "--quiet"]) == 6
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"output error: [Errno {errno.EISDIR}] Is a directory: '{out / blocked}'\n"
+        )
 
     def test_oracle_cap_is_5(self, tmp_path, capsys):
         path = write_config(

@@ -94,7 +94,7 @@ class TestRandomShifts:
         stepper = ThetaStepper(heat(1), grid1d(63), TimeGrid(T=1.0, steps=64))
         check_random_shifts(stepper, rng.standard_normal((63, 5)), tol=1e-10)
         # one cycle: a march per iteration and one for the true residual
-        assert len(marches) == gmres_spy["matvecs"] == gmres_spy["iterations"] + 1
+        assert len(marches) == gmres_spy["iterations"] + 1
 
     def test_zero_column_refused(self, grid1d, rng):
         stepper = ThetaStepper(heat(1), grid1d(63), TimeGrid(T=1.0, steps=4))
