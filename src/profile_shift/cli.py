@@ -76,6 +76,7 @@ COMMANDS = ("solve", "oracle", "spectrum", "posedness", "convergence", "validate
 ORACLE_AGREEMENT_TOL = 1e-8
 MASS_TOL = 1e-12
 CSV_BLOCK_ROWS = 32  # trajectory CSV rows formatted per write
+HASH_CHUNK = 1 << 20  # bytes read per update when hashing an artifact
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
@@ -479,6 +480,7 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
         "M": config.grid.size,
         "m_matrix_certified": stepper.m_matrix_certified,
         "iterations": result.iterations,
+        "deflated_modes": result.deflated_modes,
         "residual_history": result.history,
         "relative_residual": result.relative_residual,
         "alpha": result.alpha,
@@ -742,7 +744,15 @@ def _write_json(path: Path, obj):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex SHA-256 of a file, read in chunks of HASH_CHUNK bytes.
+
+    A whole trajectory CSV read at once would set the run's peak memory.
+    """
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _jsonable(obj):

@@ -13,6 +13,19 @@ residual, so the zeta returned has been marched already; that march is the
 trajectory.  The trajectory is scaled to unit initial mass, giving the
 probability-normalized pair (alpha, p).
 
+Q's eigenvalues decay like exp(lambda T), so a few slow modes are all that
+keep I - Q away from the identity.  For time-independent coefficients one
+step is a rational function of A_h, so A_h w = lambda w gives
+Q w = m(lambda)^N_t w exactly, with no march.  GMRES is then right
+preconditioned by the spectral projector of the slow modes of A_h (at most
+DEFLATION_CAP of them, found by ARPACK), which turns I - Q into the
+identity on their subspace (deflated restarted GMRES: Erhel, Burrage and
+Pohl, J. Comput. Appl. Math. 69, 1996; compare Morgan, SIAM J. Matrix Anal.
+Appl. 16, 1995), so a solve typically takes one iteration.  The
+preconditioner cannot weaken the post-check: the zeta of every cycle is
+marched and accepted on its true residual alone.  Time-dependent fields
+have no single A_h and are solved without it.
+
 ``dense_propagator`` assembles Q_h from the same stepping engine and its
 per-column check; it exists so the iterative route can be cross-checked
 against explicit linear algebra on small grids.  For time-independent
@@ -26,10 +39,13 @@ else the dense Q_h.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg as spla
 
 from .errors import (
     NoConvergence,
@@ -49,6 +65,10 @@ from .propagator import (
 )
 
 DENSE_CAP = 4096
+# Most slow modes of A_h that GMRES deflates (see _slow_projector).
+DEFLATION_CAP = 20
+# Relative gap in |lambda| below which two eigenvalues share a cluster.
+_CLUSTER_RTOL = 1e-8
 # Identity columns per march or step in dense_propagator.  The step's
 # temporaries are a few M x 64 blocks, so the oracle's peak stays at the
 # three M x M arrays of the powering (384 MB at DENSE_CAP).
@@ -86,13 +106,16 @@ class FredholmReport:
     """Outcome of one profile-shift solve.
 
     ``history`` holds the solver's estimate of ||r|| / ||gamma|| after each
-    iteration, so ``len(history) == iterations``.
+    iteration, so ``len(history) == iterations``.  ``deflated_modes`` is the
+    count of slow modes of A_h that preconditioned GMRES, 0 when none did
+    (time-dependent coefficients, a zero gamma, a tiny grid).
     """
 
     zeta: np.ndarray
     trajectory: Trajectory
     iterations: int
     history: tuple[float, ...]
+    deflated_modes: int
     relative_residual: float
     alpha: float | None
     normalized: Trajectory | None
@@ -119,6 +142,13 @@ def solve_profile_shift(
     tol raises PostCheckFailure, so a returned report is always
     self-consistent.  When the shift carries the nonneg flag the report also
     holds the unit-mass pair (alpha, normalized trajectory).
+
+    For time-independent coefficients GMRES deflates the slow modes of A_h
+    (see ``_slow_projector``), at the cost of one sparse LU of A_h and one
+    or two ARPACK runs per connected component, and usually takes one
+    iteration; time-dependent coefficients are solved without deflation.
+    It changes the iteration count, not what the post-check accepts.
+    Raises NumericalBreakdown when an eigenvalue of Q is within eps of 1.
     """
     _check_tol(tol)
     gamma = shift.gamma
@@ -132,10 +162,10 @@ def solve_profile_shift(
     if gamma_norm == 0.0:
         # gamma = 0 forces zeta = 0: the unique fixed point of Q.
         zeta = np.zeros(grid.size)
-        history = ()
+        history, deflated = (), 0
         marched = engine.run(zeta, keep=True)
     else:
-        zeta, history, marched = _gmres_identity_minus_q(
+        zeta, history, marched, deflated = _gmres_identity_minus_q(
             engine, gamma, tol=tol, max_iter=max_iter, restart=restart, keep=True
         )
 
@@ -162,6 +192,7 @@ def solve_profile_shift(
         trajectory=trajectory,
         iterations=len(history),
         history=history,
+        deflated_modes=deflated,
         relative_residual=relative_residual,
         alpha=alpha,
         normalized=normalized,
@@ -197,14 +228,21 @@ def _gmres_identity_minus_q(
     so a breakdown may cost a cycle but never returns an unverified Z.
     ``max_iter`` counts cycles.
 
+    The Krylov operator is (I - Q) M^-1, right preconditioned by
+    M^-1 x = x + U L^T x from ``_slow_projector`` (M = I for time-dependent
+    coefficients): each basis block is mapped by M^-1 before its march,
+    and a cycle's update is M^-1 (V Y), so the march of Z that ends the
+    cycle still decides alone whether Z is returned.
+
     The stopping bound is absolute, ||R||_F <= tol min_j ||g_j||, which
     gives ||r_j|| <= tol ||g_j|| for every column; for one column it is the
     relative bound.  The bound is set by the smallest column, so the columns
     should be of like norm, and a zero column is refused.
 
-    Returns (zeta, history, marched): the solution in gamma's shape, the
-    least-squares estimate of ||R||_F / min_j ||g_j|| after each iteration,
-    and marched = engine.run(zeta, keep=keep), the march that verified zeta.
+    Returns (zeta, history, marched, deflated): the solution in gamma's
+    shape, the least-squares estimate of ||R||_F / min_j ||g_j|| after each
+    iteration, marched = engine.run(zeta, keep=keep), the march that
+    verified zeta, and the count of deflated modes, the columns of U.
     A NoConvergence names the largest relative residual ||r_j|| / ||g_j|| of
     the last cycle's march.
     """
@@ -217,7 +255,18 @@ def _gmres_identity_minus_q(
         raise ValueError("every column of gamma must be nonzero")
     bound = tol * float(norms.min())
 
+    deflation = _slow_projector(engine)
+    deflated = 0 if deflation is None else deflation[0].shape[1]
+
+    def precondition(block):
+        """M^-1 block = block + U L^T block, for a block of columns."""
+        if deflation is None:
+            return block
+        right, left = deflation
+        return block + right @ (left.T @ block)
+
     def identity_minus_q(block):
+        block = precondition(block)
         q_block = engine.run(block if gamma.ndim == 2 else block[:, 0])
         return block - q_block.reshape(block.shape)
 
@@ -256,17 +305,205 @@ def _gmres_identity_minus_q(
             if estimate <= bound:
                 break
         y = np.linalg.lstsq(upper, rhs[:hi], rcond=None)[0]
-        zeta = zeta + basis[:, :hi] @ y
+        zeta = zeta + precondition(basis[:, :hi] @ y)
         marched = None  # drop the previous cycle's march before the next starts
         marched = engine.run(zeta.reshape(shape), keep=keep)
         residual = columns - (zeta - (marched[-1] if keep else marched).reshape(m, k))
         if np.linalg.norm(residual) <= bound:
-            return zeta.reshape(shape), tuple(history), marched
+            return zeta.reshape(shape), tuple(history), marched, deflated
     raise NoConvergence(
         iterations=len(history),
         residual=float(np.max(_column_norms(residual) / norms)),
         theta=engine.timegrid.theta,
     )
+
+
+class _Component(NamedTuple):
+    """The slow modes ARPACK found on one connected component of A_h."""
+
+    nodes: np.ndarray  # its node indices
+    block: scipy.sparse.csr_matrix  # A_h restricted to them
+    lam: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    mu: np.ndarray  # |mu| = |m(lambda)|^N_t
+    cuts: list[int]  # the prefix lengths that may be taken, 0 first
+
+
+def _slow_projector(engine: ThetaStepper):
+    """The factors (U, L) of GMRES's right preconditioner M^-1 x = x + U L^T x.
+
+    U is a real orthonormal basis of the right invariant subspace of the k
+    slow eigenvalues of A_h, and L = W C^-T K^T, where W is the same basis
+    of the left invariant subspace, C = W^T U, H = C^-1 W^T A_h U,
+    T = m(H)^N_t with the per-step multiplier
+    m(H) = (I - theta dt H)^-1 (I + (1 - theta) dt H), and
+    K = (I - T)^-1 T = (I - T)^-1 - I.  A march maps U to U T exactly, so
+    (I - Q) M^-1 = I - Q (I - U C^-1 W^T): the k slow eigenvalues of Q
+    become 0, and I - Q becomes the identity on their subspace.  Returns
+    None, for M = I, when the coefficients depend on time (there is no
+    single A_h) or when no mode is taken.
+
+    Each connected component of A_h's graph is solved alone (_slow_modes),
+    so U and L vanish outside the component of each of their columns, and
+    a gamma supported on one component keeps zeta exactly zero on the
+    others.  Modes are taken by ascending |lambda| over all components,
+    while at most DEFLATION_CAP are taken, and in whole clusters of equal
+    |lambda|: a degenerate eigenvalue or a conjugate pair is taken whole or
+    not at all.  A cluster is taken only while its modes outlast, in |mu|,
+    every found mode left behind and the stiffest mode A_h may have: under
+    theta < 1 a stiff step can make every |mu| nearly equal, and deflating
+    one of them would move it to 1, away from the rest of the spectrum of
+    I - Q.  A component whose real bases fall short of the count of its
+    modes, or whose C is ill-conditioned, gets no modes; so does one whose
+    left eigenvectors belong to other eigenvalues than its right ones, as
+    such a C is singular.  Whatever the projector, the caller accepts a
+    zeta only on the true residual of its own march, so a poor one costs
+    iterations but never a wrong answer.  Raises NumericalBreakdown when a
+    found mu is within eps of 1.
+    """
+    if engine.coeffs.time_dependent:
+        return None
+    generator = engine.generator.matrix.tocsr()
+    timegrid = engine.timegrid
+    # Every eigenvalue of A_h lies in the Gershgorin disc |lambda| <= ||A_h||_inf.
+    stiffest = abs(_multipliers(-abs(generator).sum(axis=1).max(), timegrid))
+    count, labels = scipy.sparse.csgraph.connected_components(generator)
+    components = []
+    for c in range(count):
+        nodes = np.flatnonzero(labels == c)
+        block = generator[nodes][:, nodes]
+        lam, right, left = _slow_modes(block)
+        mu = _multipliers(lam, timegrid)
+        if np.any(np.abs(1.0 - mu) <= np.finfo(float).eps):
+            raise NumericalBreakdown("I - Q is numerically singular")
+        mu = np.abs(mu)
+        # The last cluster may have more members than ARPACK found, so it
+        # is never taken.
+        size = np.abs(lam)
+        cuts = [0]
+        for s in np.flatnonzero(size[1:] > size[:-1] * (1.0 + _CLUSTER_RTOL)) + 1:
+            if mu[:s].min() <= stiffest:
+                break
+            cuts.append(s)
+        components.append(_Component(nodes, block, lam, right, left, mu, cuts))
+
+    take = [0] * count
+    ranked = sorted(
+        (abs(p.lam[s - 1]), c, s) for c, p in enumerate(components) for s in p.cuts[1:]
+    )
+    for _, c, s in ranked:
+        if sum(take) - take[c] + s > DEFLATION_CAP:
+            break
+        take[c] = s
+    rest = max([stiffest] + [p.mu[s:].max(initial=0.0) for p, s in zip(components, take)])
+    pieces = []
+    for p, limit in zip(components, take):
+        s = max(cut for cut in p.cuts if cut <= limit and p.mu[:cut].min(initial=np.inf) > rest)
+        if s:
+            factors = _component_factors(
+                p.block, p.lam[:s], p.right[:, :s], p.left[:, :s], timegrid
+            )
+            if factors is not None:
+                pieces.append((p.nodes, *factors))
+    k = sum(u.shape[1] for _, u, _ in pieces)
+    if k == 0:
+        return None
+    right, left = np.zeros((generator.shape[0], k)), np.zeros((generator.shape[0], k))
+    start = 0
+    for nodes, u, w in pieces:
+        stop = start + u.shape[1]
+        right[nodes, start:stop], left[nodes, start:stop] = u, w
+        start = stop
+    return right, left
+
+
+def _slow_modes(block):
+    """Eigenvalues of one component's A_h nearest 0, with right and left eigenvectors.
+
+    Returns (lam, right, left), the eigenvectors of each side sorted by
+    ascending |lambda| and, within a conjugate pair, by the imaginary part,
+    as lam is; a prefix of whole clusters has one span on each side.  At most
+    DEFLATION_CAP + 1 are asked for, and fewer than M - 1 (ARPACK's limit),
+    so none on a component of under four nodes.  ARPACK starts from a fixed
+    vector drawn from default_rng(0): a vector of ones is orthogonal to
+    every mode that is odd under a symmetry of the domain.  An exactly
+    symmetric block takes eigsh, and its left eigenvectors are its right
+    ones; any other takes eigs on the block and on its transpose, whose
+    solves are the same LU's with trans="T".  A component on which ARPACK
+    does not converge gives no modes.
+    """
+    m = block.shape[0]
+    wanted = min(DEFLATION_CAP + 1, m - 2)
+    none = np.zeros(0), np.zeros((m, 0)), np.zeros((m, 0))
+    if wanted < 1:
+        return none
+    try:
+        lu = spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        # A_h w = 0 gives Q w = w.
+        raise NumericalBreakdown("I - Q is numerically singular") from exc
+    start = np.random.default_rng(0).standard_normal(m)
+    symmetric = (block != block.T).nnz == 0
+    found = []
+    for matrix, trans in ((block, "N"), (block.T, "T"))[: 1 if symmetric else 2]:
+        solve = spla.LinearOperator(block.shape, matvec=lambda x, t=trans: lu.solve(x, trans=t))
+        eig = spla.eigsh if symmetric else spla.eigs
+        try:
+            lam, vectors = eig(matrix, wanted, sigma=0.0, OPinv=solve, v0=start)
+        except spla.ArpackError:
+            return none
+        order = np.lexsort((lam.imag, np.abs(lam)))
+        found.append((lam[order], vectors[:, order]))
+    (lam, right), (_, left) = found[0], found[-1]
+    return lam, right, left
+
+
+def _component_factors(block, lam, right, left, timegrid: TimeGrid):
+    """(U, L) of _slow_projector on one component, or None to leave it out.
+
+    ``lam`` holds whole clusters, so every conjugate pair has both halves,
+    and the real spans of the right and left eigenvectors have the
+    dimension len(lam); a span that falls short (defective or dependent
+    eigenvectors) leaves the component out.
+    """
+    theta, dt, steps = timegrid.theta, timegrid.dt, timegrid.steps
+    u, w = _real_basis(right), _real_basis(left)
+    k = lam.size
+    if u.shape[1] != k or w.shape[1] != k:
+        return None
+    c = w.T @ u
+    # ||U C^-1 W^T|| = 1 / sigma_min(C), the secant of the largest angle
+    # between the two subspaces; past 1/sqrt(eps) the projector would lose
+    # half the digits of what it adds.
+    if np.linalg.eigvalsh(c.T @ c)[0] < np.finfo(float).eps:
+        return None
+    h = np.linalg.solve(c, w.T @ (block @ u))
+    eye = np.eye(k)
+    step = np.linalg.solve(eye - theta * dt * h, eye + (1.0 - theta) * dt * h)
+    t = np.linalg.matrix_power(step, steps)
+    gain = np.linalg.solve(eye - t, t)
+    return u, w @ np.linalg.solve(c.T, gain.T)
+
+
+def _multipliers(lam, timegrid: TimeGrid):
+    """mu = m(lambda)^N_t, the eigenvalue of Q for an eigenvalue lambda of A_h."""
+    theta, dt = timegrid.theta, timegrid.dt
+    return ((1.0 + (1.0 - theta) * dt * lam) / (1.0 - theta * dt * lam)) ** timegrid.steps
+
+
+def _real_basis(vectors: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the real span of [Re V, Im V].
+
+    The span holds both halves of every conjugate pair that has one half in
+    V.  It is read from the Gram matrix of [Re V, Im V] by eigh: the
+    eigenvectors with eigenvalues above 1e-10 of the largest, scaled by
+    their inverse square roots.
+    """
+    span = np.hstack([vectors.real, vectors.imag])
+    gram, rotation = np.linalg.eigh(span.T @ span)
+    keep = gram > 1e-10 * gram[-1]
+    return span @ (rotation[:, keep] / np.sqrt(gram[keep]))
 
 
 def _check_tol(tol: float) -> None:
@@ -445,9 +682,7 @@ def _dense_spectrum(q_matrix: np.ndarray, m: int) -> SpectralReport:
     sing = scipy.linalg.svdvals(q)
     sigma_max = float(sing[0])
     sigma_min = float(sing[-1])
-    if sigma_max <= 0.0:
-        raise NumericalBreakdown("propagator matrix is numerically zero")
-    if sigma_min <= 0.0:
+    if sigma_min <= 0.0:  # singular, the zero Q of a decay below the underflow too
         log10_cond = np.inf
     else:
         log10_cond = float(np.log10(sigma_max) - np.log10(sigma_min))

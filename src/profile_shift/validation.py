@@ -100,7 +100,7 @@ def check_random_shifts(
     if not norms.all():
         raise ValueError("every column of gammas must be nonzero")
     unit = gammas / norms
-    zeta, _, qz = _gmres_identity_minus_q(stepper, unit, tol, max_iter, restart)
+    zeta, _, qz, _ = _gmres_identity_minus_q(stepper, unit, tol, max_iter, restart)
     residuals = _column_norms(zeta - qz - unit) / _column_norms(unit)
     return BlockShiftCheck(residuals=residuals, tol=tol, zeta=zeta, terminal=qz)
 

@@ -267,6 +267,7 @@ class TestSolveCommand:
         assert report["relative_residual"] <= 1e-10
         history = report["residual_history"]
         assert len(history) == report["iterations"] >= 1 and history[-1] <= 1e-10
+        assert report["deflated_modes"] == 20
         assert report["checks"]["fixed_shift"]["passed"] is True
         assert report["checks"]["mass"]["defect"] <= 1e-12
         assert (tmp_path / "out" / "trajectory.csv").exists()
@@ -405,6 +406,23 @@ class TestSolveCommand:
             assert actual == digest, name
         cfg = parse_config(path)
         assert meta["config"] == cfg.to_dict()
+
+    def test_artifacts_are_hashed_in_chunks(self, tmp_path, monkeypatch):
+        # A 64-byte chunk splits every artifact into many reads, and each
+        # digest must still be that of the whole file.
+        monkeypatch.setattr(cli, "HASH_CHUNK", 64)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, outputs={"directory": str(out)})
+        assert main(["solve", "--config", str(path), "--quiet"]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        for name, digest in meta["files"].items():
+            data = (out / name).read_bytes()
+            assert len(data) > 64
+            assert hashlib.sha256(data).hexdigest() == digest, name
+        for size in (0, 64, 65, 1000):
+            blob = tmp_path / f"blob-{size}"
+            blob.write_bytes((bytes(range(256)) * 4)[:size])
+            assert cli._sha256(blob) == hashlib.sha256(blob.read_bytes()).hexdigest()
 
     def test_runs_are_deterministic(self, tmp_path):
         path = write_config(tmp_path)
@@ -581,7 +599,8 @@ class TestOracleCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        assemble = counting(assemblies, operators.assemble)
+        original = operators.assemble
+        assemble = counting(assemblies, original)
         monkeypatch.setattr(operators, "assemble", assemble)
         monkeypatch.setattr(propagator, "assemble", assemble)
         monkeypatch.setattr(
@@ -592,7 +611,11 @@ class TestOracleCommand:
         )
         assert main(["oracle", "--config", str(path), "--quiet"]) == 0
         assert len(assemblies) == 1
-        assert len(factorizations) == 1
+        # one factorization of the step matrix I - dt A_h, and one of A_h
+        # itself, for the slow modes that GMRES deflates
+        (generator,) = [original(*args).matrix for args in assemblies]
+        of_generator = [(m != generator).nnz == 0 for (m,) in factorizations]
+        assert sorted(of_generator) == [False, True]
 
 
 class TestSpectrumCommand:

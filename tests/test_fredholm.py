@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from profile_shift import (
     CoefficientField,
@@ -27,12 +29,18 @@ from profile_shift import (
     propagate,
     solve_profile_shift,
     spectral_analysis,
+    tabulated,
 )
+from profile_shift import fredholm
 from profile_shift.fredholm import (
+    DEFLATION_CAP,
     DENSE_CAP,
     _banded_eigvalsh,
     _dense_spectrum,
     _gmres_identity_minus_q,
+    _real_basis,
+    _slow_modes,
+    _slow_projector,
 )
 
 INV_GAP_1 = 1.5819767068693265  # 1 / (1 - e^-1)
@@ -196,8 +204,11 @@ class TestSolve:
         assert "raise N_t" in message and "theta > 1/2" in message
         # A block names its worst column, not the Frobenius ratio: one
         # iteration solves the sine column, an eigenvector of Q, and leaves
-        # the random column far from solved.
-        stepper = ThetaStepper(heat(1), grid, TimeGrid(T=0.01, steps=4))
+        # the random column far from solved.  The time-dependent twin of
+        # heat(1) has the same Q and no deflation, so the one iteration is
+        # plain block GMRES.
+        twin = dataclasses.replace(heat(1), time_dependent=True)
+        stepper = ThetaStepper(twin, grid, TimeGrid(T=0.01, steps=4))
         block = np.column_stack([3.0 * np.sin(grid.coordinates()[:, 0]), gamma])
         with pytest.raises(NoConvergence) as info:
             _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=1, restart=1)
@@ -218,7 +229,7 @@ class TestSolve:
         x = grid.coordinates()[:, 0]
         stepper = ThetaStepper(heat(1), grid, TimeGrid(T=1.0, steps=64))
         block = np.column_stack([1e-3 * np.sin(x), np.sin(20 * x)])
-        zeta, _, _ = _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=200, restart=1)
+        zeta, *_ = _gmres_identity_minus_q(stepper, block, tol=1e-10, max_iter=200, restart=1)
         defect = zeta - stepper.run(zeta) - block
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10 * np.linalg.norm(block, axis=0))
 
@@ -245,19 +256,41 @@ class TestSolve:
 class TestBlockGmres:
     """One Krylov block per march: every column gains a direction per column of the block."""
 
-    def test_six_unit_columns_converge_in_three_iterations(self, grid2d, marches):
-        # 15 x 15 upwind drift with absorption, backward Euler, N_t = 64: each
-        # column alone takes 4 iterations, and one shared Krylov polynomial
-        # for all six would too; the block's space takes 3.
+    @staticmethod
+    def six_unit_columns(grid2d, time_dependent):
+        # 15 x 15 upwind drift with absorption, backward Euler, N_t = 64
         grid = grid2d(15)
-        stepper = ThetaStepper(drift((1.0, -0.6), 0.4), grid, TimeGrid(T=1.0, steps=64))
+        coeffs = dataclasses.replace(drift((1.0, -0.6), 0.4), time_dependent=time_dependent)
+        stepper = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=64))
         block = np.random.default_rng(0).standard_normal((grid.size, 6))
         block /= np.linalg.norm(block, axis=0)
-        zeta, history, marched = _gmres_identity_minus_q(
+        return stepper, block
+
+    def test_six_unit_columns_converge_in_three_iterations(self, grid2d, marches):
+        # Undeflated (the time-dependent twin has the same Q and M = I): each
+        # column alone takes 4 iterations, and one shared Krylov polynomial
+        # for all six would too; the block's space takes 3.
+        stepper, block = self.six_unit_columns(grid2d, time_dependent=True)
+        zeta, history, marched, deflated = _gmres_identity_minus_q(
             stepper, block, tol=1e-10, max_iter=200, restart=50
         )
+        assert deflated == 0
         assert len(history) == 3 and history[-1] <= 1e-10
         assert len(marches) == 4
+        defect = zeta - marched - block
+        assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10)
+
+    def test_deflated_six_unit_columns_converge_in_one_iteration(self, grid2d, marches):
+        # With the 20 slowest modes deflated, every eigenvalue left in Q has
+        # |mu| <= 9.4e-13, so the first block of the Krylov space already
+        # meets the bound.
+        stepper, block = self.six_unit_columns(grid2d, time_dependent=False)
+        zeta, history, marched, deflated = _gmres_identity_minus_q(
+            stepper, block, tol=1e-10, max_iter=200, restart=50
+        )
+        assert deflated == DEFLATION_CAP
+        assert len(history) == 1 and history[0] <= 1e-10
+        assert len(marches) == 2
         defect = zeta - marched - block
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10)
 
@@ -271,7 +304,7 @@ class TestBlockGmres:
         block = rng.standard_normal((nodes, width))
         if repeat:
             block[:, 2] = block[:, 0]
-        zeta, _, marched = _gmres_identity_minus_q(
+        zeta, _, marched, _ = _gmres_identity_minus_q(
             stepper, block, tol=1e-10, max_iter=200, restart=50
         )
         assert zeta.shape == block.shape
@@ -292,11 +325,13 @@ class TestLastMarch:
     def test_converged_solve_marches_once_per_matvec(self, grid1d, rng, marches, gmres_spy):
         report = solve_profile_shift(*self.problem(grid1d, rng))
         # One march per iteration and one for the true residual that ends
-        # the single restart cycle; none after the solver returns.
-        assert gmres_spy["iterations"] == report.iterations >= 1
+        # the single restart cycle; none after the solver returns.  With the
+        # 20 slowest modes of heat(1) deflated, one iteration meets tol.
+        assert report.deflated_modes == DEFLATION_CAP
+        assert gmres_spy["iterations"] == report.iterations == 1
         assert len(marches) == report.iterations + 1
         assert len(report.history) == report.iterations
-        assert report.history[-1] <= 1e-10 < report.history[0]
+        assert report.history[-1] <= 1e-10
 
     def test_trajectory_is_the_march_of_zeta(self, grid1d, rng):
         shift, coeffs, grid, timegrid = self.problem(grid1d, rng)
@@ -314,6 +349,137 @@ class TestLastMarch:
             )
         assert gmres_spy["iterations"] == 1
         assert len(marches) == 2
+
+
+def solve_2d_field(n=63):
+    """The tabulated field of the solve-2d benchmark on the n x n interior of (0, pi)^2."""
+    grid = build_grid(box2d(), [n, n])
+    xs, ys = grid.coordinates().T
+    a = np.zeros((grid.size, 2, 2))
+    a[:, 0, 0] = 1.0 + 0.5 * np.sin(xs) * np.sin(ys)
+    a[:, 1, 1] = 1.0 + 0.25 * np.cos(xs + ys)
+    f = np.column_stack([1.5 * np.cos(ys), -np.sin(2.0 * xs)])
+    q = 0.3 + 0.2 * np.sin(xs) * np.cos(ys)
+    return grid, tabulated(grid, a, f, q)
+
+
+class TestDeflation:
+    """GMRES's right preconditioner from the slow modes of A_h."""
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5, 23, 24, 63])
+    def test_tiny_grids_clip_the_modes(self, grid1d, rng, nodes):
+        # ARPACK is asked for min(21, M - 2) eigenvalues, all distinct for
+        # heat(1), and the last one found is never taken.
+        grid, coeffs = grid1d(nodes), heat(1)
+        timegrid = TimeGrid(T=1.0, steps=8)
+        stepper = ThetaStepper(coeffs, grid, timegrid)
+        expected = max(0, min(DEFLATION_CAP, nodes - 3))
+        report = solve_profile_shift(
+            ProfileShift(rng.standard_normal(nodes)), coeffs, grid, timegrid, stepper=stepper
+        )
+        assert report.deflated_modes == expected
+        assert report.relative_residual <= 1e-10
+        # a block with more columns than nodes
+        block = rng.standard_normal((nodes, nodes + 2))
+        zeta, _, marched, deflated = _gmres_identity_minus_q(
+            stepper, block, tol=1e-10, max_iter=200, restart=50
+        )
+        assert deflated == expected
+        defect = zeta - marched - block
+        assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10 * np.linalg.norm(block, axis=0))
+
+    def test_time_dependent_field_and_zero_gamma_take_no_modes(self, grid1d, rng):
+        grid = grid1d(31)
+        timegrid = TimeGrid(T=1.0, steps=8)
+        twin = dataclasses.replace(heat(1), time_dependent=True)
+        report = solve_profile_shift(ProfileShift(rng.standard_normal(31)), twin, grid, timegrid)
+        assert report.deflated_modes == 0 and report.iterations > 1
+        report = solve_profile_shift(ProfileShift(np.zeros(31)), heat(1), grid, timegrid)
+        assert report.deflated_modes == 0
+
+    def test_unit_multiplier_is_numerically_singular(self, grid1d):
+        # a = 1e-30 I: every step multiplier 1 / (1 + dt * O(1e-30)) rounds
+        # to 1, so Q = I in floating point.
+        grid = grid1d(15)
+        frozen = CoefficientField(
+            dimension=1, a=lambda x, t: 1e-30 * np.eye(1), f=lambda x, t: np.zeros(1),
+            q=lambda x, t: 0.0, delta=1e-30,
+        )
+        with pytest.raises(NumericalBreakdown, match="I - Q is numerically singular"):
+            solve_profile_shift(ProfileShift(np.ones(15)), frozen, grid, TimeGrid(T=1.0, steps=8))
+        # A singular A_h (A_h w = 0 gives Q w = w) is refused the same way.
+        singular = scipy.sparse.csr_matrix(np.diag([0.0, -1.0, -2.0, -3.0, -4.0]))
+        with pytest.raises(NumericalBreakdown, match="I - Q is numerically singular"):
+            _slow_modes(singular)
+
+    @pytest.mark.parametrize("cap, taken", [(1, 1), (2, 1), (3, 3), (4, 4), (5, 4), (6, 6)])
+    def test_degenerate_eigenvalue_is_taken_whole(self, grid2d, rng, monkeypatch, cap, taken):
+        # heat(2) on a square: lambda_12 = lambda_21 and lambda_13 = lambda_31
+        # are the 2nd-3rd and 5th-6th eigenvalues nearest 0.
+        grid = grid2d(15)
+        timegrid = TimeGrid(T=1.0, steps=32)
+        lam = _slow_modes(ThetaStepper(heat(2), grid, timegrid).generator.matrix)[0]
+        assert lam[1] == pytest.approx(lam[2], rel=1e-10)
+        assert lam[4] == pytest.approx(lam[5], rel=1e-10)
+        monkeypatch.setattr(fredholm, "DEFLATION_CAP", cap)
+        report = solve_profile_shift(
+            ProfileShift(rng.standard_normal(grid.size)), heat(2), grid, timegrid
+        )
+        assert report.deflated_modes == taken
+        assert report.relative_residual <= 1e-10
+
+    def test_ill_conditioned_projector_falls_back_to_identity(self, grid1d, rng):
+        # Strong upwind drift: the slow right eigenvectors pile up at one end
+        # and the left ones at the other, so W^T U is near singular.
+        grid, coeffs = grid1d(63), drift((12.0,))
+        timegrid = TimeGrid(T=1.0, steps=32)
+        stepper = ThetaStepper(coeffs, grid, timegrid)
+        _, right, left = _slow_modes(stepper.generator.matrix)
+        c = _real_basis(left).T @ _real_basis(right)
+        assert scipy.linalg.svdvals(c)[-1] < 1e-8
+        report = solve_profile_shift(
+            ProfileShift(rng.standard_normal(63)), coeffs, grid, timegrid, stepper=stepper
+        )
+        assert report.deflated_modes == 0
+        assert report.relative_residual <= 1e-10
+
+    def test_split_conjugate_pair_is_left_out(self, monkeypatch, rng):
+        # solve-2d's field: with a cap of 10 the cut falls between the halves
+        # of the 10th and 11th eigenvalues, -20.67 -+ 2.46i.  A projector on
+        # one half took 6 iterations for one vector and 151 for a block of
+        # six; the whole pair is left out instead.
+        monkeypatch.setattr(fredholm, "DEFLATION_CAP", 10)
+        grid, coeffs = solve_2d_field()
+        stepper = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=256))
+        lam = _slow_modes(stepper.generator.matrix)[0]
+        assert lam[9] == pytest.approx(complex(-20.67, -2.46), abs=5e-3)
+        assert lam[10] == np.conj(lam[9])
+        gamma = rng.random(grid.size)
+        _, history, _, deflated = _gmres_identity_minus_q(
+            stepper, gamma, tol=1e-10, max_iter=200, restart=50
+        )
+        assert deflated == 9 and len(history) <= 3
+        block = rng.standard_normal((grid.size, 6))
+        block /= np.linalg.norm(block, axis=0)
+        _, history, _, deflated = _gmres_identity_minus_q(
+            stepper, block, tol=1e-10, max_iter=200, restart=50
+        )
+        assert deflated == 9 and len(history) <= 3
+
+    def test_projector_stays_on_each_component(self):
+        # Two equal components: every column of U and L vanishes, exactly,
+        # off the component it was built on.
+        mask = np.ones((15, 15), dtype=bool)
+        mask[7, :] = False
+        grid = build_grid(box2d(mask=mask), [15, 15])
+        stepper = ThetaStepper(heat(2), grid, TimeGrid(T=1.0, steps=16))
+        right, left = _slow_projector(stepper)
+        upper = grid.nodes[:, 0] < 7
+        assert right.shape[1] == DEFLATION_CAP
+        for factor in (right, left):
+            on_upper = np.any(factor[upper] != 0.0, axis=0)
+            on_lower = np.any(factor[~upper] != 0.0, axis=0)
+            assert np.all(on_upper != on_lower)
 
 
 class TestNormalize:
@@ -432,6 +598,10 @@ class TestSpectralAnalysis:
             spectral_analysis(stepper, np.zeros((3, 2)))
         with pytest.raises(NumericalBreakdown):
             spectral_analysis(stepper, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        # A Q that decayed below the underflow is singular, not an error.
+        zero = spectral_analysis(stepper, np.zeros((2, 2)))
+        assert zero.spectral_radius == 0.0 and zero.log10_cond_Q == np.inf
+        assert zero.cond_identity_minus_Q == 1.0
 
     def test_heat_spectrum_matches_stepping_formula(self, grid1d):
         # independent route: discrete eigenvalues lambda_k = (4/h^2) sin^2(kh/2)

@@ -6,9 +6,13 @@ equals the marched identity up to the rounding of the powers.  A solve
 satisfies the two-time identity and agrees with the dense oracle, column by
 column when a block of shifts is solved at once, where each column also
 agrees with its own single-vector solve, and a block solve is linear in its
-right-hand sides.  Under backward Euler with a certified
+right-hand sides.  A solve deflated by the slow modes of A_h takes no more
+iterations than its undeflated time-dependent twin, and both agree with the
+dense oracle.  Under backward Euler with a certified
 M-matrix, a nonnegative shift gives a nonnegative profile of unit mass.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -144,6 +148,32 @@ def test_solution_satisfies_two_time_identity_and_matches_dense_oracle(stepper, 
     q = dense_propagator(*problem, stepper=stepper)
     expected = np.linalg.solve(np.eye(stepper.grid.size) - q, gamma)
     assert np.linalg.norm(zeta - expected) <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected)
+
+
+@given(steppers(time_dependent=st.just(False)), st.integers(0, 2**32 - 1))
+def test_deflation_costs_no_iterations_and_keeps_the_answer(stepper, seed):
+    # The time-dependent twin of a constant field has the same Q and no
+    # deflation (M = I).
+    twin_coeffs = dataclasses.replace(stepper.coeffs, time_dependent=True)
+    problem = (stepper.grid, stepper.timegrid, stepper.advection_mode)
+    twin = ThetaStepper(twin_coeffs, *problem)
+    gamma = np.random.default_rng(seed).standard_normal(stepper.grid.size)
+    deflated = solve_profile_shift(
+        ProfileShift(gamma), stepper.coeffs, *problem, tol=TOL, stepper=stepper
+    )
+    plain = solve_profile_shift(ProfileShift(gamma), twin_coeffs, *problem, tol=TOL, stepper=twin)
+    assert plain.deflated_modes == 0
+    assert deflated.iterations <= plain.iterations
+    # Each zeta solves (I - Q) zeta = gamma to within TOL ||gamma||, so the
+    # two differ by at most 2 TOL ||gamma|| ||(I - Q)^-1||.
+    q = dense_propagator(stepper.coeffs, *problem, stepper=stepper)
+    system = np.eye(stepper.grid.size) - q
+    inverse_norm = 1.0 / np.linalg.svd(system, compute_uv=False)[-1]
+    gap = np.linalg.norm(deflated.zeta - plain.zeta)
+    assert gap <= 2.0 * TOL * np.linalg.norm(gamma) * inverse_norm * (1.0 + 1e-8)
+    expected = np.linalg.solve(system, gamma)
+    for zeta in (deflated.zeta, plain.zeta):
+        assert np.linalg.norm(zeta - expected) <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected)
 
 
 @given(
