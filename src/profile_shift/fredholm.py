@@ -24,7 +24,10 @@ Pohl, J. Comput. Appl. Math. 69, 1996; compare Morgan, SIAM J. Matrix Anal.
 Appl. 16, 1995), so a solve typically takes one iteration.  The
 preconditioner cannot weaken the post-check: the zeta of every cycle is
 marched and accepted on its true residual alone.  Time-dependent fields
-have no single A_h and are solved without it.
+have no single A_h and are solved without it.  The projector is built only
+where it can pay: its ARPACK solves must fit in the N_t steps of one march,
+and the columns of gamma must not already span an invariant subspace of
+A_h, as they do when gamma is an eigenvector.
 
 ``dense_propagator`` assembles Q_h from the same stepping engine and its
 per-column check; it exists so the iterative route can be cross-checked
@@ -146,9 +149,12 @@ def solve_profile_shift(
     For time-independent coefficients GMRES deflates the slow modes of A_h
     (see ``_slow_projector``), at the cost of one sparse LU of A_h and one
     or two ARPACK runs per connected component, and usually takes one
-    iteration; time-dependent coefficients are solved without deflation.
-    It changes the iteration count, not what the post-check accepts.
-    Raises NumericalBreakdown when an eigenvalue of Q is within eps of 1.
+    iteration; time-dependent coefficients are solved without deflation,
+    and so are problems where it cannot pay: N_t too small for ARPACK's
+    solves, or a gamma that spans an invariant subspace of A_h.  It
+    changes the iteration count, not what the post-check accepts.  Raises
+    NumericalBreakdown when the projector finds an eigenvalue of Q within
+    eps of 1; without a projector such a Q ends in NoConvergence.
     """
     _check_tol(tol)
     gamma = shift.gamma
@@ -229,8 +235,8 @@ def _gmres_identity_minus_q(
     ``max_iter`` counts cycles.
 
     The Krylov operator is (I - Q) M^-1, right preconditioned by
-    M^-1 x = x + U L^T x from ``_slow_projector`` (M = I for time-dependent
-    coefficients): each basis block is mapped by M^-1 before its march,
+    M^-1 x = x + U L^T x from ``_slow_projector`` (M = I where it builds
+    none): each basis block is mapped by M^-1 before its march,
     and a cycle's update is M^-1 (V Y), so the march of Z that ends the
     cycle still decides alone whether Z is returned.
 
@@ -255,7 +261,7 @@ def _gmres_identity_minus_q(
         raise ValueError("every column of gamma must be nonzero")
     bound = tol * float(norms.min())
 
-    deflation = _slow_projector(engine)
+    deflation = _slow_projector(engine, columns, tol)
     deflated = 0 if deflation is None else deflation[0].shape[1]
 
     def precondition(block):
@@ -330,7 +336,11 @@ class _Component(NamedTuple):
     cuts: list[int]  # the prefix lengths that may be taken, 0 first
 
 
-def _slow_projector(engine: ThetaStepper):
+class _OverBudget(Exception):
+    """An ARPACK run of _slow_modes asked for more solves than it was given."""
+
+
+def _slow_projector(engine: ThetaStepper, columns: np.ndarray, tol: float):
     """The factors (U, L) of GMRES's right preconditioner M^-1 x = x + U L^T x.
 
     U is a real orthonormal basis of the right invariant subspace of the k
@@ -342,7 +352,18 @@ def _slow_projector(engine: ThetaStepper):
     (I - Q) M^-1 = I - Q (I - U C^-1 W^T): the k slow eigenvalues of Q
     become 0, and I - Q becomes the identity on their subspace.  Returns
     None, for M = I, when the coefficients depend on time (there is no
-    single A_h) or when no mode is taken.
+    single A_h), when it cannot pay, or when no mode is taken.
+
+    The projector is built only where it can pay.  Its cost is one LU of
+    A_h and the solves of ARPACK, each the price of one step of a march;
+    what it saves is whole marches of N_t steps.  So the ARPACK runs of all
+    components get N_t solves in all, the price of one march: a component
+    whose runs are not expected to finish within what is left is not
+    started, and one that runs past it is stopped and gets no modes (see
+    _slow_modes).  Small N_t thus takes M = I.  Nor is it built when the
+    columns of gamma span an invariant subspace of A_h to within tol (an
+    eigenvector, say): they span one of Q, so plain GMRES ends in one
+    iteration, and a projector would save nothing.
 
     Each connected component of A_h's graph is solved alone (_slow_modes),
     so U and L vanish outside the component of each of their columns, and
@@ -365,15 +386,21 @@ def _slow_projector(engine: ThetaStepper):
     if engine.coeffs.time_dependent:
         return None
     generator = engine.generator.matrix.tocsr()
+    image = generator @ columns
+    spanned = columns @ np.linalg.lstsq(columns, image, rcond=None)[0]
+    if np.linalg.norm(image - spanned) <= tol * np.linalg.norm(image):
+        return None
     timegrid = engine.timegrid
+    budget = timegrid.steps
     # Every eigenvalue of A_h lies in the Gershgorin disc |lambda| <= ||A_h||_inf.
     stiffest = abs(_multipliers(-abs(generator).sum(axis=1).max(), timegrid))
     count, labels = scipy.sparse.csgraph.connected_components(generator)
     components = []
     for c in range(count):
         nodes = np.flatnonzero(labels == c)
-        block = generator[nodes][:, nodes]
-        lam, right, left = _slow_modes(block)
+        block = generator if count == 1 else generator[nodes][:, nodes]
+        lam, right, left, solves = _slow_modes(block, budget)
+        budget -= solves
         mu = _multipliers(lam, timegrid)
         if np.any(np.abs(1.0 - mu) <= np.finfo(float).eps):
             raise NumericalBreakdown("I - Q is numerically singular")
@@ -418,10 +445,10 @@ def _slow_projector(engine: ThetaStepper):
     return right, left
 
 
-def _slow_modes(block):
+def _slow_modes(block, budget: int):
     """Eigenvalues of one component's A_h nearest 0, with right and left eigenvectors.
 
-    Returns (lam, right, left), the eigenvectors of each side sorted by
+    Returns (lam, right, left, solves), the eigenvectors of each side sorted by
     ascending |lambda| and, within a conjugate pair, by the imaginary part,
     as lam is; a prefix of whole clusters has one span on each side.  At most
     DEFLATION_CAP + 1 are asked for, and fewer than M - 1 (ARPACK's limit),
@@ -430,33 +457,51 @@ def _slow_modes(block):
     every mode that is odd under a symmetry of the domain.  An exactly
     symmetric block takes eigsh, and its left eigenvectors are its right
     ones; any other takes eigs on the block and on its transpose, whose
-    solves are the same LU's with trans="T".  A component on which ARPACK
+    solves are the same LU's with trans="T".  ``solves`` counts the LU
+    solves made, at most ``budget``.  A run makes ncv solves to fill its
+    basis, then about as many again in its restarts (1.1 to 2.4 ncv on
+    heat, drift and anisotropic fields, 1D and 2D), so no run is started
+    unless 2 ncv per run fit in the budget, and a run that reaches it is
+    stopped.  A component on which ARPACK is not started, is stopped or
     does not converge gives no modes.
     """
     m = block.shape[0]
     wanted = min(DEFLATION_CAP + 1, m - 2)
+    ncv = min(m, max(2 * wanted + 1, 20))  # ARPACK's default
+    solves = 0
     none = np.zeros(0), np.zeros((m, 0)), np.zeros((m, 0))
-    if wanted < 1:
-        return none
+    if wanted < 1 or 2 * ncv > budget:
+        return *none, solves
+    symmetric = (block != block.T).nnz == 0
+    runs = ((block, "N"), (block.T, "T"))[: 1 if symmetric else 2]
+    if 2 * len(runs) * ncv > budget:
+        return *none, solves
     try:
         lu = spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         # A_h w = 0 gives Q w = w.
         raise NumericalBreakdown("I - Q is numerically singular") from exc
+
+    def counted(x, trans):
+        nonlocal solves
+        if solves == budget:
+            raise _OverBudget
+        solves += 1
+        return lu.solve(x, trans=trans)
+
     start = np.random.default_rng(0).standard_normal(m)
-    symmetric = (block != block.T).nnz == 0
     found = []
-    for matrix, trans in ((block, "N"), (block.T, "T"))[: 1 if symmetric else 2]:
-        solve = spla.LinearOperator(block.shape, matvec=lambda x, t=trans: lu.solve(x, trans=t))
+    for matrix, trans in runs:
+        solve = spla.LinearOperator(block.shape, matvec=lambda x, t=trans: counted(x, t))
         eig = spla.eigsh if symmetric else spla.eigs
         try:
-            lam, vectors = eig(matrix, wanted, sigma=0.0, OPinv=solve, v0=start)
-        except spla.ArpackError:
-            return none
+            lam, vectors = eig(matrix, wanted, sigma=0.0, OPinv=solve, v0=start, ncv=ncv)
+        except (spla.ArpackError, _OverBudget):
+            return *none, solves
         order = np.lexsort((lam.imag, np.abs(lam)))
         found.append((lam[order], vectors[:, order]))
     (lam, right), (_, left) = found[0], found[-1]
-    return lam, right, left
+    return lam, right, left, solves
 
 
 def _component_factors(block, lam, right, left, timegrid: TimeGrid):
@@ -682,7 +727,9 @@ def _dense_spectrum(q_matrix: np.ndarray, m: int) -> SpectralReport:
     sing = scipy.linalg.svdvals(q)
     sigma_max = float(sing[0])
     sigma_min = float(sing[-1])
-    if sigma_min <= 0.0:  # singular, the zero Q of a decay below the underflow too
+    if sigma_max <= 0.0:
+        raise NumericalBreakdown("propagator matrix is numerically zero")
+    if sigma_min <= 0.0:
         log10_cond = np.inf
     else:
         log10_cond = float(np.log10(sigma_max) - np.log10(sigma_min))

@@ -257,11 +257,11 @@ class TestBlockGmres:
     """One Krylov block per march: every column gains a direction per column of the block."""
 
     @staticmethod
-    def six_unit_columns(grid2d, time_dependent):
-        # 15 x 15 upwind drift with absorption, backward Euler, N_t = 64
+    def six_unit_columns(grid2d, time_dependent, steps=64):
+        # 15 x 15 upwind drift with absorption, backward Euler
         grid = grid2d(15)
         coeffs = dataclasses.replace(drift((1.0, -0.6), 0.4), time_dependent=time_dependent)
-        stepper = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=64))
+        stepper = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=steps))
         block = np.random.default_rng(0).standard_normal((grid.size, 6))
         block /= np.linalg.norm(block, axis=0)
         return stepper, block
@@ -281,10 +281,11 @@ class TestBlockGmres:
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10)
 
     def test_deflated_six_unit_columns_converge_in_one_iteration(self, grid2d, marches):
-        # With the 20 slowest modes deflated, every eigenvalue left in Q has
-        # |mu| <= 9.4e-13, so the first block of the Krylov space already
+        # N_t = 256 leaves room for ARPACK's 162 solves (172 expected).  With
+        # the 20 slowest modes deflated, every eigenvalue left in Q has
+        # |mu| <= 7.7e-15, so the first block of the Krylov space already
         # meets the bound.
-        stepper, block = self.six_unit_columns(grid2d, time_dependent=False)
+        stepper, block = self.six_unit_columns(grid2d, time_dependent=False, steps=256)
         zeta, history, marched, deflated = _gmres_identity_minus_q(
             stepper, block, tol=1e-10, max_iter=200, restart=50
         )
@@ -325,13 +326,23 @@ class TestLastMarch:
     def test_converged_solve_marches_once_per_matvec(self, grid1d, rng, marches, gmres_spy):
         report = solve_profile_shift(*self.problem(grid1d, rng))
         # One march per iteration and one for the true residual that ends
-        # the single restart cycle; none after the solver returns.  With the
-        # 20 slowest modes of heat(1) deflated, one iteration meets tol.
-        assert report.deflated_modes == DEFLATION_CAP
-        assert gmres_spy["iterations"] == report.iterations == 1
+        # the single restart cycle; none after the solver returns.  N_t = 64
+        # is too short for ARPACK's solves, so GMRES is not deflated.
+        assert report.deflated_modes == 0
+        assert gmres_spy["iterations"] == report.iterations >= 1
         assert len(marches) == report.iterations + 1
         assert len(report.history) == report.iterations
-        assert report.history[-1] <= 1e-10
+        assert report.history[-1] <= 1e-10 < report.history[0]
+
+    def test_deflated_solve_marches_twice(self, grid1d, rng, marches, gmres_spy):
+        # At N_t = 128 the 20 slowest modes of heat(1) are deflated, and one
+        # iteration meets tol: one march for it and one for the true residual.
+        shift, coeffs, grid, _ = self.problem(grid1d, rng)
+        report = solve_profile_shift(shift, coeffs, grid, TimeGrid(T=1.0, steps=128))
+        assert report.deflated_modes == DEFLATION_CAP
+        assert gmres_spy["iterations"] == report.iterations == 1
+        assert len(marches) == 2
+        assert len(report.history) == 1 and report.history[0] <= 1e-10
 
     def test_trajectory_is_the_march_of_zeta(self, grid1d, rng):
         shift, coeffs, grid, timegrid = self.problem(grid1d, rng)
@@ -369,9 +380,10 @@ class TestDeflation:
     @pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5, 23, 24, 63])
     def test_tiny_grids_clip_the_modes(self, grid1d, rng, nodes):
         # ARPACK is asked for min(21, M - 2) eigenvalues, all distinct for
-        # heat(1), and the last one found is never taken.
+        # heat(1), and the last one found is never taken.  N_t = 128 leaves
+        # room for its solves (2 ncv = 86 expected, 56 made at M = 63).
         grid, coeffs = grid1d(nodes), heat(1)
-        timegrid = TimeGrid(T=1.0, steps=8)
+        timegrid = TimeGrid(T=1.0, steps=128)
         stepper = ThetaStepper(coeffs, grid, timegrid)
         expected = max(0, min(DEFLATION_CAP, nodes - 3))
         report = solve_profile_shift(
@@ -379,12 +391,13 @@ class TestDeflation:
         )
         assert report.deflated_modes == expected
         assert report.relative_residual <= 1e-10
-        # a block with more columns than nodes
+        # A block with more columns than nodes spans R^M, an invariant
+        # subspace: plain GMRES solves it in one iteration, with no modes.
         block = rng.standard_normal((nodes, nodes + 2))
-        zeta, _, marched, deflated = _gmres_identity_minus_q(
+        zeta, history, marched, deflated = _gmres_identity_minus_q(
             stepper, block, tol=1e-10, max_iter=200, restart=50
         )
-        assert deflated == expected
+        assert deflated == 0 and len(history) == 1
         defect = zeta - marched - block
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10 * np.linalg.norm(block, axis=0))
 
@@ -406,19 +419,19 @@ class TestDeflation:
             q=lambda x, t: 0.0, delta=1e-30,
         )
         with pytest.raises(NumericalBreakdown, match="I - Q is numerically singular"):
-            solve_profile_shift(ProfileShift(np.ones(15)), frozen, grid, TimeGrid(T=1.0, steps=8))
+            solve_profile_shift(ProfileShift(np.ones(15)), frozen, grid, TimeGrid(T=1.0, steps=64))
         # A singular A_h (A_h w = 0 gives Q w = w) is refused the same way.
         singular = scipy.sparse.csr_matrix(np.diag([0.0, -1.0, -2.0, -3.0, -4.0]))
         with pytest.raises(NumericalBreakdown, match="I - Q is numerically singular"):
-            _slow_modes(singular)
+            _slow_modes(singular, 100)
 
     @pytest.mark.parametrize("cap, taken", [(1, 1), (2, 1), (3, 3), (4, 4), (5, 4), (6, 6)])
     def test_degenerate_eigenvalue_is_taken_whole(self, grid2d, rng, monkeypatch, cap, taken):
         # heat(2) on a square: lambda_12 = lambda_21 and lambda_13 = lambda_31
         # are the 2nd-3rd and 5th-6th eigenvalues nearest 0.
         grid = grid2d(15)
-        timegrid = TimeGrid(T=1.0, steps=32)
-        lam = _slow_modes(ThetaStepper(heat(2), grid, timegrid).generator.matrix)[0]
+        timegrid = TimeGrid(T=1.0, steps=128)  # room for ARPACK's 103 solves (86 expected)
+        lam = _slow_modes(ThetaStepper(heat(2), grid, timegrid).generator.matrix, 1000)[0]
         assert lam[1] == pytest.approx(lam[2], rel=1e-10)
         assert lam[4] == pytest.approx(lam[5], rel=1e-10)
         monkeypatch.setattr(fredholm, "DEFLATION_CAP", cap)
@@ -428,13 +441,66 @@ class TestDeflation:
         assert report.deflated_modes == taken
         assert report.relative_residual <= 1e-10
 
+    def test_arpack_gets_the_solves_of_one_march(self, grid2d, monkeypatch, rng):
+        # 15 x 15: eigs makes 81 solves on A_h and 81 on its transpose,
+        # eigsh 103; 2 ncv = 86 per run are expected.
+        grid = grid2d(15)
+        for coeffs, runs, made in ((drift((1.0, -0.6), 0.4), 2, 162), (heat(2), 1, 103)):
+            generator = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=8)).generator.matrix
+            lam, _, _, solves = _slow_modes(generator, 10**6)
+            assert lam.size == DEFLATION_CAP + 1 and solves == made
+            # Fewer than expected: not started.
+            lam, _, _, solves = _slow_modes(generator, runs * 86 - 1)
+            assert lam.size == 0 and solves == 0
+        # Started, then stopped at the budget.
+        lam, _, _, solves = _slow_modes(generator, 100)
+        assert lam.size == 0 and solves == 100
+        # A solve with N_t = 64 factors nothing but its step matrix.
+        factored = []
+        splu = fredholm.spla.splu
+
+        def counting(*args, **kwargs):
+            factored.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fredholm.spla, "splu", counting)
+        grid = grid2d(15)
+        report = solve_profile_shift(
+            ProfileShift(rng.standard_normal(grid.size)), drift((1.0, -0.6), 0.4), grid,
+            TimeGrid(T=1.0, steps=64),
+        )
+        assert report.deflated_modes == 0 and len(factored) == 1
+        assert report.relative_residual <= 1e-10
+
+    def test_invariant_gamma_takes_no_modes(self, grid2d, rng):
+        # Eigenvectors of A_h span invariant subspaces of Q: plain GMRES
+        # solves them in one iteration, so no projector is built.
+        grid = grid2d(15)
+        timegrid = TimeGrid(T=1.0, steps=128)
+        x, y = grid.coordinates().T
+        modes = np.column_stack([np.sin(x) * np.sin(y), np.sin(2 * x) * np.sin(y)])
+        for gamma in (modes[:, 0], modes):
+            stepper = ThetaStepper(heat(2), grid, timegrid)
+            zeta, history, marched, deflated = _gmres_identity_minus_q(
+                stepper, gamma, tol=1e-10, max_iter=200, restart=50
+            )
+            assert deflated == 0 and len(history) == 1
+            assert np.linalg.norm(zeta - marched - gamma) <= 1e-10 * np.linalg.norm(gamma)
+        # A random gamma on the same problem is deflated.
+        report = solve_profile_shift(
+            ProfileShift(rng.standard_normal(grid.size)), heat(2), grid, timegrid
+        )
+        assert report.deflated_modes == DEFLATION_CAP
+
     def test_ill_conditioned_projector_falls_back_to_identity(self, grid1d, rng):
         # Strong upwind drift: the slow right eigenvectors pile up at one end
         # and the left ones at the other, so W^T U is near singular.
+        # N_t = 256 leaves room for ARPACK's solves (172 expected, 112
+        # made), so C alone decides.
         grid, coeffs = grid1d(63), drift((12.0,))
-        timegrid = TimeGrid(T=1.0, steps=32)
+        timegrid = TimeGrid(T=1.0, steps=256)
         stepper = ThetaStepper(coeffs, grid, timegrid)
-        _, right, left = _slow_modes(stepper.generator.matrix)
+        _, right, left, _ = _slow_modes(stepper.generator.matrix, 1000)
         c = _real_basis(left).T @ _real_basis(right)
         assert scipy.linalg.svdvals(c)[-1] < 1e-8
         report = solve_profile_shift(
@@ -451,7 +517,7 @@ class TestDeflation:
         monkeypatch.setattr(fredholm, "DEFLATION_CAP", 10)
         grid, coeffs = solve_2d_field()
         stepper = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=256))
-        lam = _slow_modes(stepper.generator.matrix)[0]
+        lam = _slow_modes(stepper.generator.matrix, 1000)[0]
         assert lam[9] == pytest.approx(complex(-20.67, -2.46), abs=5e-3)
         assert lam[10] == np.conj(lam[9])
         gamma = rng.random(grid.size)
@@ -472,8 +538,9 @@ class TestDeflation:
         mask = np.ones((15, 15), dtype=bool)
         mask[7, :] = False
         grid = build_grid(box2d(mask=mask), [15, 15])
-        stepper = ThetaStepper(heat(2), grid, TimeGrid(T=1.0, steps=16))
-        right, left = _slow_projector(stepper)
+        stepper = ThetaStepper(heat(2), grid, TimeGrid(T=1.0, steps=512))
+        gamma = np.random.default_rng(0).standard_normal((grid.size, 1))
+        right, left = _slow_projector(stepper, gamma, 1e-10)
         upper = grid.nodes[:, 0] < 7
         assert right.shape[1] == DEFLATION_CAP
         for factor in (right, left):
@@ -598,10 +665,6 @@ class TestSpectralAnalysis:
             spectral_analysis(stepper, np.zeros((3, 2)))
         with pytest.raises(NumericalBreakdown):
             spectral_analysis(stepper, np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        # A Q that decayed below the underflow is singular, not an error.
-        zero = spectral_analysis(stepper, np.zeros((2, 2)))
-        assert zero.spectral_radius == 0.0 and zero.log10_cond_Q == np.inf
-        assert zero.cond_identity_minus_Q == 1.0
 
     def test_heat_spectrum_matches_stepping_formula(self, grid1d):
         # independent route: discrete eigenvalues lambda_k = (4/h^2) sin^2(kh/2)
