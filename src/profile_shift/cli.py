@@ -413,7 +413,7 @@ def run(config: ExperimentConfig, command: str, resolutions=None, quiet: bool = 
         "config": config.to_dict(),
         "files": {p.name: _sha256(p) for p in artifacts},
     }
-    _write_json(out / "metadata.json", _jsonable(metadata))
+    _write_json(out / "metadata.json", metadata)
 
     if not quiet:
         print(_summary_line(command, report, passed))
@@ -740,7 +740,19 @@ def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
 
 
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    """Write obj as indented JSON, the bytes of json.dumps(_jsonable(obj)).
+
+    An object that is JSON-native already, such as the config echo of
+    metadata.json, is dumped as it is: walking its tables through _jsonable
+    cost as much as dumping them.  Anything else (numpy values, dataclasses,
+    non-finite floats such as an infinite indicator bound) goes through
+    _jsonable.
+    """
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except (TypeError, ValueError):
+        text = json.dumps(_jsonable(obj), indent=2)
+    path.write_text(text + "\n")
 
 
 def _sha256(path: Path) -> str:

@@ -21,13 +21,14 @@ preconditioned by the spectral projector of the slow modes of A_h (at most
 DEFLATION_CAP of them, found by ARPACK), which turns I - Q into the
 identity on their subspace (deflated restarted GMRES: Erhel, Burrage and
 Pohl, J. Comput. Appl. Math. 69, 1996; compare Morgan, SIAM J. Matrix Anal.
-Appl. 16, 1995), so a solve typically takes one iteration.  The
-preconditioner cannot weaken the post-check: the zeta of every cycle is
-marched and accepted on its true residual alone.  Time-dependent fields
-have no single A_h and are solved without it.  The projector is built only
-where it can pay: its ARPACK solves must fit in the N_t steps of one march,
-and the columns of gamma must not already span an invariant subspace of
-A_h, as they do when gamma is an eigenvector.
+Appl. 16, 1995).  GMRES then starts from M^-1 gamma, exact on those modes,
+so a solve typically takes no Krylov iteration and one march.  The
+preconditioner cannot weaken the post-check: the start and the zeta of
+every cycle are marched and accepted on their true residual alone.
+Time-dependent fields have no single A_h and are solved without it.  The
+projector is built only where it can pay: its ARPACK solves must fit in
+the N_t steps of one march, and the columns of gamma must not already span
+an invariant subspace of A_h, as they do when gamma is an eigenvector.
 
 ``dense_propagator`` assembles Q_h from the same stepping engine and its
 per-column check; it exists so the iterative route can be cross-checked
@@ -111,7 +112,10 @@ class FredholmReport:
     ``history`` holds the solver's estimate of ||r|| / ||gamma|| after each
     iteration, so ``len(history) == iterations``.  ``deflated_modes`` is the
     count of slow modes of A_h that preconditioned GMRES, 0 when none did
-    (time-dependent coefficients, a zero gamma, a tiny grid).
+    (time-dependent coefficients, a zero gamma, a tiny grid).  With modes
+    deflated, ``iterations == 0`` and an empty ``history`` mean that the
+    deflated start M^-1 gamma was accepted; ``relative_residual`` is always
+    the true residual of the returned zeta's own march.
     """
 
     zeta: np.ndarray
@@ -148,13 +152,14 @@ def solve_profile_shift(
 
     For time-independent coefficients GMRES deflates the slow modes of A_h
     (see ``_slow_projector``), at the cost of one sparse LU of A_h and one
-    or two ARPACK runs per connected component, and usually takes one
-    iteration; time-dependent coefficients are solved without deflation,
-    and so are problems where it cannot pay: N_t too small for ARPACK's
-    solves, or a gamma that spans an invariant subspace of A_h.  It
-    changes the iteration count, not what the post-check accepts.  Raises
-    NumericalBreakdown when the projector finds an eigenvalue of Q within
-    eps of 1; without a projector such a Q ends in NoConvergence.
+    or two ARPACK runs per connected component, and usually accepts its
+    start M^-1 gamma with no Krylov iteration and one march; time-dependent
+    coefficients are solved without deflation, and so are problems where
+    it cannot pay: N_t too small for ARPACK's solves, or a gamma that spans
+    an invariant subspace of A_h.  It changes the iteration count, not what
+    the post-check accepts.  Raises NumericalBreakdown when the projector
+    finds an eigenvalue of Q within eps of 1; without a projector such a Q
+    ends in NoConvergence.
     """
     _check_tol(tol)
     gamma = shift.gamma
@@ -232,13 +237,18 @@ def _gmres_identity_minus_q(
     the estimate meets the bound, with one march of Z made with ``keep``;
     its true residual decides whether Z is returned or a new cycle starts,
     so a breakdown may cost a cycle but never returns an unverified Z.
-    ``max_iter`` counts cycles.
+    ``max_iter`` counts cycles; the deflated start below is not one.
 
     The Krylov operator is (I - Q) M^-1, right preconditioned by
     M^-1 x = x + U L^T x from ``_slow_projector`` (M = I where it builds
     none): each basis block is mapped by M^-1 before its march,
     and a cycle's update is M^-1 (V Y), so the march of Z that ends the
-    cycle still decides alone whether Z is returned.
+    cycle still decides alone whether Z is returned.  With a projector the
+    solve starts from Z_0 = M^-1 G, which is exact on the deflated modes:
+    Z_0 is marched once, with ``keep``, and returned with an empty history
+    if its true residual meets the bound; otherwise the first cycle starts
+    from that residual.  With M = I it starts from Z_0 = 0, which needs no
+    march.
 
     The stopping bound is absolute, ||R||_F <= tol min_j ||g_j||, which
     gives ||r_j|| <= tol ||g_j|| for every column; for one column it is the
@@ -276,9 +286,22 @@ def _gmres_identity_minus_q(
         q_block = engine.run(block if gamma.ndim == 2 else block[:, 0])
         return block - q_block.reshape(block.shape)
 
+    def verify(zeta):
+        """March zeta with ``keep``: (the march, or None if R misses the bound; R)."""
+        marched = engine.run(zeta.reshape(shape), keep=keep)
+        residual = columns - (zeta - (marched[-1] if keep else marched).reshape(m, k))
+        return (marched if np.linalg.norm(residual) <= bound else None), residual
+
     zeta = np.zeros_like(columns)
     residual = columns
     history: list[float] = []
+    if deflation is not None:
+        # M^-1 G solves the system exactly on the deflated modes, so it
+        # usually meets the bound with no Krylov iteration.
+        zeta = precondition(columns)
+        marched, residual = verify(zeta)
+        if marched is not None:
+            return zeta.reshape(shape), (), marched, deflated
     for _ in range(max_iter):
         first, s0 = np.linalg.qr(residual)
         p = first.shape[1]  # min(M, k)
@@ -312,10 +335,8 @@ def _gmres_identity_minus_q(
                 break
         y = np.linalg.lstsq(upper, rhs[:hi], rcond=None)[0]
         zeta = zeta + precondition(basis[:, :hi] @ y)
-        marched = None  # drop the previous cycle's march before the next starts
-        marched = engine.run(zeta.reshape(shape), keep=keep)
-        residual = columns - (zeta - (marched[-1] if keep else marched).reshape(m, k))
-        if np.linalg.norm(residual) <= bound:
+        marched, residual = verify(zeta)
+        if marched is not None:
             return zeta.reshape(shape), tuple(history), marched, deflated
     raise NoConvergence(
         iterations=len(history),
@@ -694,10 +715,13 @@ def _generator_spectrum(generator, timegrid: TimeGrid) -> SpectralReport:
     gap = np.abs(1.0 - mu)
     if gap.min() <= 0.0:
         raise NumericalBreakdown("I - Q is numerically singular")
+    # A zero multiplier makes Q singular: cond(Q) = inf, also where every
+    # multiplier is zero and max - min would be nan.
+    low = log_mu.min()
     return SpectralReport(
         eigenvalues=mu,
         spectral_radius=float(np.abs(mu).max()),
-        log10_cond_Q=float((log_mu.max() - log_mu.min()) / np.log(10.0)),
+        log10_cond_Q=np.inf if low == -np.inf else float((log_mu.max() - low) / np.log(10.0)),
         cond_identity_minus_Q=float(gap.max() / gap.min()),
         route="generator",
     )
@@ -717,7 +741,10 @@ def _banded_eigvalsh(matrix) -> np.ndarray:
 
 
 def _dense_spectrum(q_matrix: np.ndarray, m: int) -> SpectralReport:
-    """The summary of a dense M x M propagator from its eigvals and two SVDs."""
+    """The summary of a dense M x M propagator from its eigvals and two SVDs.
+
+    A singular Q, a zero one among them, has log10 cond(Q) = inf.
+    """
     q = np.asarray(q_matrix, dtype=float)
     if q.shape != (m, m):
         raise ValueError(f"propagator matrix must be {m}x{m}, got {q.shape}")
@@ -727,8 +754,6 @@ def _dense_spectrum(q_matrix: np.ndarray, m: int) -> SpectralReport:
     sing = scipy.linalg.svdvals(q)
     sigma_max = float(sing[0])
     sigma_min = float(sing[-1])
-    if sigma_max <= 0.0:
-        raise NumericalBreakdown("propagator matrix is numerically zero")
     if sigma_min <= 0.0:
         log10_cond = np.inf
     else:

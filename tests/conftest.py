@@ -16,8 +16,10 @@ from hypothesis import settings  # noqa: E402
 from profile_shift import box2d, build_grid, interval
 
 # One bound for every hypothesis property, so tier-1 stays short.
+# HYPOTHESIS_PROFILE=thorough draws ten times as many examples.
 settings.register_profile("tier1", max_examples=40, deadline=None)
-settings.load_profile("tier1")
+settings.register_profile("thorough", max_examples=400, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(autouse=True)

@@ -134,6 +134,41 @@ class TestParseConfig:
         echoed = cfg.to_dict()
         assert config_from_dict(echoed).to_dict() == echoed
 
+    @pytest.mark.parametrize("kind", ["tabulated", "masked", "preset"])
+    def test_echo_is_json_native(self, kind):
+        # metadata.json dumps a JSON-native echo as it is, without walking
+        # its tables through _jsonable, which would leave it unchanged.
+        data = base_config(resolution=5, gamma={"table": [0.5, 1.0, 2.0, 1.0, 0.5]})
+        if kind == "tabulated":
+            data["coefficients"] = {"tabulated": {
+                "a": [[[1.0 + 0.1 * i]] for i in range(5)], "f": [[0.5]] * 5,
+                "q": [0.0, 0.1, 0.2, 0.3, 0.4], "delta": 1.0,
+            }}
+        elif kind == "masked":
+            mask = [[1, 1, 1], [1, 0, 1], [1, 1, 1]]
+            data = base_config(
+                domain={"dimension": 2, "box": [[0.0, PI], [0.0, 2.0]], "mask": mask},
+                resolution=[3, 3], coefficients={"preset": "absorb", "rate": 2},
+                gamma={"indicator": {"box": [[0.5, 2.0], [0.0, 1.0]]}},
+            )
+        echoed = config_from_dict(data).to_dict()
+        assert cli._jsonable(echoed) == echoed
+
+    def test_json_bytes_are_those_of_jsonable(self, tmp_path):
+        # Native objects skip _jsonable; numpy values, dataclasses and
+        # non-finite floats (an infinite indicator bound in an echo) take it.
+        cfg = config_from_dict(base_config(gamma={"indicator": {"box": [[1.0, math.inf]]}}))
+        objects = [
+            config_from_dict(base_config()).to_dict(), cfg.to_dict(),
+            {"z": np.arange(3.0), "n": np.int64(2), "t": (1, 2.5)}, TimeGrid(T=1.0, steps=4),
+        ]
+        path = tmp_path / "out.json"
+        for obj in objects:
+            cli._write_json(path, obj)
+            assert path.read_text() == json.dumps(cli._jsonable(obj), indent=2) + "\n"
+        cli._write_json(path, cfg.to_dict())
+        assert json.loads(path.read_text())["gamma"]["indicator"]["box"] == [[1.0, "inf"]]
+
     def test_theta_out_of_range(self, tmp_path):
         path = write_config(tmp_path, theta=0.3)
         with pytest.raises(ValidationError):

@@ -280,18 +280,18 @@ class TestBlockGmres:
         defect = zeta - marched - block
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10)
 
-    def test_deflated_six_unit_columns_converge_in_one_iteration(self, grid2d, marches):
+    def test_deflated_six_unit_columns_need_no_iteration(self, grid2d, marches):
         # N_t = 256 leaves room for ARPACK's 162 solves (172 expected).  With
         # the 20 slowest modes deflated, every eigenvalue left in Q has
-        # |mu| <= 7.7e-15, so the first block of the Krylov space already
-        # meets the bound.
+        # |mu| <= 7.7e-15, so the start M^-1 G already meets the bound: its
+        # one march is the only one.
         stepper, block = self.six_unit_columns(grid2d, time_dependent=False, steps=256)
         zeta, history, marched, deflated = _gmres_identity_minus_q(
             stepper, block, tol=1e-10, max_iter=200, restart=50
         )
         assert deflated == DEFLATION_CAP
-        assert len(history) == 1 and history[0] <= 1e-10
-        assert len(marches) == 2
+        assert history == ()
+        assert len(marches) == 1
         defect = zeta - marched - block
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10)
 
@@ -334,15 +334,42 @@ class TestLastMarch:
         assert len(report.history) == report.iterations
         assert report.history[-1] <= 1e-10 < report.history[0]
 
-    def test_deflated_solve_marches_twice(self, grid1d, rng, marches, gmres_spy):
-        # At N_t = 128 the 20 slowest modes of heat(1) are deflated, and one
-        # iteration meets tol: one march for it and one for the true residual.
+    def test_deflated_solve_marches_once(self, grid1d, rng, marches, gmres_spy):
+        # At N_t = 128 the 20 slowest modes of heat(1) are deflated, and the
+        # start M^-1 gamma meets tol: its march gives the true residual and
+        # is the trajectory, with no Krylov iteration.
         shift, coeffs, grid, _ = self.problem(grid1d, rng)
         report = solve_profile_shift(shift, coeffs, grid, TimeGrid(T=1.0, steps=128))
         assert report.deflated_modes == DEFLATION_CAP
-        assert gmres_spy["iterations"] == report.iterations == 1
-        assert len(marches) == 2
-        assert len(report.history) == 1 and report.history[0] <= 1e-10
+        assert gmres_spy["iterations"] == report.iterations == 0
+        assert len(marches) == 1
+        assert report.history == ()
+        assert report.relative_residual <= 1e-10
+
+    def test_missed_deflated_start_costs_no_march(self, grid2d, rng, marches):
+        # At T = 0.2 more modes of 2D heat are slow than the 20 deflated, so
+        # the start misses the bound and GMRES restarts from its residual.
+        # Started from zero, the deflated solve took 3 iterations and 4
+        # marches, for the vector and for the block alike; starting from
+        # M^-1 G saves one iteration, which pays for the start's march.
+        grid, coeffs = grid2d(31), heat(2)
+        timegrid = TimeGrid(T=0.2, steps=256)
+        stepper = ThetaStepper(coeffs, grid, timegrid)
+        report = solve_profile_shift(
+            ProfileShift(rng.standard_normal(grid.size)), coeffs, grid, timegrid, stepper=stepper
+        )
+        assert report.deflated_modes == DEFLATION_CAP
+        assert report.iterations >= 1 and report.relative_residual <= 1e-10
+        assert len(marches) <= 4
+        marches.clear()
+        block = rng.standard_normal((grid.size, 6))
+        block /= np.linalg.norm(block, axis=0)
+        zeta, history, marched, deflated = _gmres_identity_minus_q(
+            stepper, block, tol=1e-10, max_iter=200, restart=50
+        )
+        assert deflated == DEFLATION_CAP and len(history) >= 1
+        assert np.all(np.linalg.norm(zeta - marched - block, axis=0) <= 1e-10)
+        assert len(marches) <= 4
 
     def test_trajectory_is_the_march_of_zeta(self, grid1d, rng):
         shift, coeffs, grid, timegrid = self.problem(grid1d, rng)
@@ -665,6 +692,28 @@ class TestSpectralAnalysis:
             spectral_analysis(stepper, np.zeros((3, 2)))
         with pytest.raises(NumericalBreakdown):
             spectral_analysis(stepper, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_zero_propagator_is_singular_not_a_breakdown(self, grid1d):
+        # A Q that decayed to exactly zero: rho = 0, cond(Q) = inf and
+        # I - Q = I.
+        stepper = ThetaStepper(drift([1.0]), grid1d(2), TimeGrid(T=1.0, steps=4))
+        # One node on (0, 2): h = 1 and A_h = [[-2]], so Crank-Nicolson with
+        # dt = 1 has the multiplier (1 - 1) / (1 + 1) = 0, and Q = [[0.]] on
+        # both routes.
+        grid, coeffs = build_grid(interval(0.0, 2.0), [1]), heat(1)
+        one_node = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=1, theta=0.5))
+        q = dense_propagator(coeffs, grid, one_node.timegrid, stepper=one_node)
+        assert q.tolist() == [[0.0]]
+        reports = (
+            spectral_analysis(stepper, np.zeros((2, 2))),
+            spectral_analysis(one_node),
+            _dense_spectrum(q, 1),
+        )
+        assert [report.route for report in reports] == ["dense", "generator", "dense"]
+        for report in reports:
+            assert report.spectral_radius == 0.0
+            assert report.log10_cond_Q == np.inf
+            assert report.cond_identity_minus_Q == 1.0
 
     def test_heat_spectrum_matches_stepping_formula(self, grid1d):
         # independent route: discrete eigenvalues lambda_k = (4/h^2) sin^2(kh/2)
