@@ -341,6 +341,7 @@ def _gamma(spec, grid: Grid) -> tuple[dict, ProfileShift]:
     elif form == "indicator":
         ind = _object(spec["indicator"], "gamma.indicator", ("box", "value"), ("box",))
         bx = _intervals(ind["box"], "gamma.indicator.box")
+        _require(np.isfinite(bx).all(), f"gamma.indicator.box {bx} must have finite endpoints")
         _require(
             len(bx) == grid.dimension, f"indicator box must list {grid.dimension} [lo, hi] pairs"
         )
@@ -745,8 +746,7 @@ def _write_json(path: Path, obj):
     An object that is JSON-native already, such as the config echo of
     metadata.json, is dumped as it is: walking its tables through _jsonable
     cost as much as dumping them.  Anything else (numpy values, dataclasses,
-    non-finite floats such as an infinite indicator bound) goes through
-    _jsonable.
+    non-finite floats) goes through _jsonable.
     """
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)

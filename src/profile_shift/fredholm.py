@@ -283,8 +283,7 @@ def _gmres_identity_minus_q(
 
     def identity_minus_q(block):
         block = precondition(block)
-        q_block = engine.run(block if gamma.ndim == 2 else block[:, 0])
-        return block - q_block.reshape(block.shape)
+        return block - engine.run(block)
 
     def verify(zeta):
         """March zeta with ``keep``: (the march, or None if R misses the bound; R)."""
@@ -491,11 +490,9 @@ def _slow_modes(block, budget: int):
     ncv = min(m, max(2 * wanted + 1, 20))  # ARPACK's default
     solves = 0
     none = np.zeros(0), np.zeros((m, 0)), np.zeros((m, 0))
-    if wanted < 1 or 2 * ncv > budget:
-        return *none, solves
     symmetric = (block != block.T).nnz == 0
     runs = ((block, "N"), (block.T, "T"))[: 1 if symmetric else 2]
-    if 2 * len(runs) * ncv > budget:
+    if wanted < 1 or 2 * len(runs) * ncv > budget:
         return *none, solves
     try:
         lu = spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A")

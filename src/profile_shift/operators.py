@@ -104,7 +104,9 @@ def tabulated(
     ``a_values`` has shape (M, dim, dim), ``f_values`` (M, dim), ``q_values``
     (M,).  Missing f or q default to zero.  If delta is omitted it is set to
     the smallest eigenvalue of a over all nodes.  Raises ValidationError
-    naming the coefficient and the node when a value is not finite.
+    naming the coefficient and the node when a value is not finite.  The
+    callables accept only the rows of ``grid.coordinates()``, which
+    ``_sample`` passes; any other point raises KeyError naming it.
     """
     dim = grid.dimension
     m = grid.size
@@ -124,15 +126,13 @@ def tabulated(
     if delta is None:
         delta = float(np.linalg.eigvalsh(a_arr)[:, 0].min())
 
-    lows = np.array([lo for lo, _ in grid.domain.box])
-    steps = np.asarray(grid.h)
+    nodes = {tuple(x): i for i, x in enumerate(coords.tolist())}
 
-    def locate(x: np.ndarray) -> int:
-        multi = np.rint((np.asarray(x) - lows) / steps).astype(int) - 1
-        idx = grid.node_index(multi)
-        if idx < 0:
-            raise KeyError(f"point {x} is not an interior node of the grid")
-        return idx
+    def locate(x) -> int:
+        i = nodes.get(tuple(x))
+        if i is None:
+            raise KeyError(f"point {list(map(float, x))} is not an interior node of the grid")
+        return i
 
     return CoefficientField(
         dimension=dim,

@@ -130,45 +130,47 @@ class ThetaStepper:
         self.advection_mode = advection_mode
         self._identity = sp.identity(grid.size, format="csc")
         self._cache: dict[int, tuple] = {}
-        # A_h(t_{k+1}) of the last step system built, which is A_h(t_k) of
-        # the next one: (k + 1, generator).
-        self._next_generator: tuple[int, DiscreteGenerator] | None = None
+        self._generators: dict[int, DiscreteGenerator] = {}
 
     @property
     def generator(self) -> DiscreteGenerator:
         """A_h(t_0), the generator of the first step system."""
-        return self._step_system(0)[4]
+        return self._generator(0)
 
     @property
     def m_matrix_certified(self) -> bool:
         return self.generator.m_matrix_certified
 
+    def _generator(self, k: int) -> DiscreteGenerator:
+        """A_h(t_k), assembled once; node 0 serves every k for time-independent fields."""
+        key = k if self.coeffs.time_dependent else 0
+        if key not in self._generators:
+            self._generators[key] = assemble(
+                self.coeffs, self.grid, self.timegrid.time(key), self.advection_mode
+            )
+        return self._generators[key]
+
     def _step_system(self, k: int):
         """Matrices for the step t_k -> t_{k+1} (cached).
 
-        Returns (explicit, lu, implicit, implicit_norm, generator).
-        ``explicit`` is None when theta = 1, where it is exactly I;
-        ``implicit`` is the CSR copy used for residuals (SuperLU gets the
-        CSC form), and ``implicit_norm`` is sqrt(||B||_1 ||B||_inf), a
-        bound on its 2-norm.  ``generator`` is A_h(t_0) for the first step
-        and None for the others, which are not asked for theirs.
+        Returns (explicit, lu, implicit, implicit_norm).  ``explicit`` is
+        None when theta = 1, where it is exactly I and A_h(t_k) is not read;
+        ``implicit`` is the CSR copy used for residuals (SuperLU gets the CSC
+        form), and ``implicit_norm`` is sqrt(||B||_1 ||B||_inf), a bound on
+        its 2-norm.  Only steps k - 1 and k read A_h(t_k), so step k drops
+        it, unless k = 0: ``generator`` reads A_h(t_0).
         """
         key = k if self.coeffs.time_dependent else 0
         if key not in self._cache:
             tg = self.timegrid
-            if self._next_generator is not None and self._next_generator[0] == key:
-                gen0 = self._next_generator[1]
-            else:
-                gen0 = assemble(self.coeffs, self.grid, tg.time(key), self.advection_mode)
-            if self.coeffs.time_dependent:
-                gen1 = assemble(self.coeffs, self.grid, tg.time(key + 1), self.advection_mode)
-                self._next_generator = (key + 1, gen1)
-            else:
-                gen1 = gen0
             explicit = None
             if tg.theta != 1.0:
-                explicit = (self._identity + (1.0 - tg.theta) * tg.dt * gen0.matrix).tocsr()
-            implicit = (self._identity - tg.theta * tg.dt * gen1.matrix).tocsc()
+                gen0 = self._generator(key).matrix
+                explicit = (self._identity + (1.0 - tg.theta) * tg.dt * gen0).tocsr()
+            gen1 = self._generator(key + 1).matrix
+            implicit = (self._identity - tg.theta * tg.dt * gen1).tocsc()
+            if key:
+                self._generators.pop(key, None)
             # The stencils are structurally symmetric, so minimum degree on
             # the pattern of B^T + B (SuperLU Users' Guide, on column
             # orderings) fills less than the default COLAMD: the factors hold
@@ -179,15 +181,12 @@ class ThetaStepper:
             # sums: CSR indices are column numbers, CSC indices row numbers.
             norm_1 = np.bincount(implicit_csr.indices, np.abs(implicit_csr.data)).max()
             norm_inf = np.bincount(implicit.indices, np.abs(implicit.data)).max()
-            self._cache[key] = (
-                explicit, lu, implicit_csr, float(np.sqrt(norm_1 * norm_inf)),
-                gen0 if key == 0 else None,
-            )
+            self._cache[key] = (explicit, lu, implicit_csr, float(np.sqrt(norm_1 * norm_inf)))
         return self._cache[key]
 
     def step_values(self, values: np.ndarray, k: int) -> np.ndarray:
         """One step t_k -> t_{k+1} of a vector or of a block of columns."""
-        explicit, lu, implicit, implicit_norm, _ = self._step_system(k)
+        explicit, lu, implicit, implicit_norm = self._step_system(k)
         rhs = values if explicit is None else explicit @ values
         return self._check_inner(lu.solve(rhs), rhs, lu, implicit, implicit_norm)
 

@@ -1,6 +1,9 @@
 """Properties of the assembled generator over random grids, masks and fields."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from profile_shift import (
     assemble,
     build_grid,
     heat,
+    tabulated,
 )
 
 
@@ -115,3 +119,58 @@ def test_adjacency_is_heat_off_diagonal_pattern(problem):
         rows = np.flatnonzero(col >= 0)
         adjacency[rows, col[rows]] = True
     assert np.array_equal(adjacency, pattern)
+
+
+@st.composite
+def tables(draw):
+    """(masked grid, per-node a, f, q, advection mode) on a box with random corners."""
+    shape, inside, *_, mode = draw(problems())
+    dim = len(shape)
+    lows = [draw(st.floats(-3.0, 3.0)) for _ in range(dim)]
+    box = tuple((lo, lo + draw(st.floats(0.5, 4.0))) for lo in lows)
+    grid = build_grid(Domain(dim, box, inside), shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = grid.size
+    diag = rng.uniform(0.1, 5.0, (m, dim))
+    a = np.zeros((m, dim, dim))
+    a[:, range(dim), range(dim)] = diag
+    if dim == 2:
+        a[:, 0, 1] = a[:, 1, 0] = rng.uniform(-0.9, 0.9, m) * np.sqrt(diag.prod(axis=1))
+    return grid, a, rng.uniform(-3.0, 3.0, (m, dim)), rng.uniform(0.0, 2.0, m), mode
+
+
+def rounded_lookup_field(grid, a, f, q, delta):
+    """Pointwise field that finds each point's node by rounding its position.
+
+    The point's multi-index is np.rint((x - lows) / h) - 1, mapped to the node
+    by Grid.node_index.
+    """
+    lows = np.array([lo for lo, _ in grid.domain.box])
+
+    def locate(x):
+        return grid.node_index(np.rint((x - lows) / np.asarray(grid.h)).astype(int) - 1)
+
+    return CoefficientField(
+        dimension=grid.dimension,
+        a=lambda x, t: a[locate(x)],
+        f=lambda x, t: f[locate(x)],
+        q=lambda x, t: float(q[locate(x)]),
+        delta=delta,
+    )
+
+
+@given(tables(), st.data())
+def test_tabulated_assembly_is_that_of_a_rounded_lookup(table, data):
+    grid, a, f, q, mode = table
+    coeffs = tabulated(grid, a, f, q)
+    got = assemble(coeffs, grid, 0.0, mode)
+    expected = assemble(rounded_lookup_field(grid, a, f, q, coeffs.delta), grid, 0.0, mode)
+    assert got.m_matrix_certified == expected.m_matrix_certified
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got.matrix, name).tobytes() == getattr(expected.matrix, name).tobytes()
+    # the lookup is exact: a point one ulp off a node is no node
+    point = grid.coordinates()[data.draw(st.integers(0, grid.size - 1))]
+    axis = data.draw(st.integers(0, grid.dimension - 1))
+    point[axis] = np.nextafter(point[axis], data.draw(st.sampled_from([-np.inf, np.inf])))
+    with pytest.raises(KeyError, match=re.escape(repr(float(point[axis])))):
+        coeffs.a(point, 0.0)

@@ -156,18 +156,20 @@ class TestParseConfig:
 
     def test_json_bytes_are_those_of_jsonable(self, tmp_path):
         # Native objects skip _jsonable; numpy values, dataclasses and
-        # non-finite floats (an infinite indicator bound in an echo) take it.
-        cfg = config_from_dict(base_config(gamma={"indicator": {"box": [[1.0, math.inf]]}}))
+        # non-finite floats take it.
+        echo = config_from_dict(base_config()).to_dict()
+        echo["gamma"] = {"table": np.linspace(0.0, 1.0, 63), "nonneg": np.bool_(True)}
         objects = [
-            config_from_dict(base_config()).to_dict(), cfg.to_dict(),
+            config_from_dict(base_config()).to_dict(), echo,
             {"z": np.arange(3.0), "n": np.int64(2), "t": (1, 2.5)}, TimeGrid(T=1.0, steps=4),
+            {"rho": math.inf},
         ]
         path = tmp_path / "out.json"
         for obj in objects:
             cli._write_json(path, obj)
             assert path.read_text() == json.dumps(cli._jsonable(obj), indent=2) + "\n"
-        cli._write_json(path, cfg.to_dict())
-        assert json.loads(path.read_text())["gamma"]["indicator"]["box"] == [[1.0, "inf"]]
+        cli._write_json(path, echo)
+        assert json.loads(path.read_text())["gamma"]["table"] == np.linspace(0.0, 1.0, 63).tolist()
 
     def test_theta_out_of_range(self, tmp_path):
         path = write_config(tmp_path, theta=0.3)
@@ -522,6 +524,10 @@ class TestExitCodes:
                        "resolution": 3},
          "domain.mask", "bound to the config's resolution"),
         # from tol >= 1 GMRES would return zeta = 0 after no iteration
+        # the echo in metadata.json would hold the bound as "inf", which
+        # does not parse again
+        ("solve", {"gamma": {"indicator": {"box": [[1.0, math.inf]]}}},
+         "gamma.indicator.box", "must have finite endpoints"),
         ("solve", {"gamma": {"eigenfunction": 2}, "solver": {"tol": 2.0}},
          "solver.tol", "must lie in (0, 1)"),
         ("solve", {"solver": {"tol": 1.0}}, "solver.tol", "must lie in (0, 1)"),
@@ -529,7 +535,8 @@ class TestExitCodes:
          "solver.tol", "must lie in (0, 1)"),
     ], ids=["T-inf-solve", "T-inf-posedness", "box-inf", "axx-nan", "rate-nan", "preset-list",
             "tabulated-extra-field", "table-length-spectrum", "nonneg-conflict", "delta-inf",
-            "mask-posedness", "tol-2-solve", "tol-1-nonneg-solve", "tol-inf-validate"])
+            "mask-posedness", "indicator-inf", "tol-2-solve", "tol-1-nonneg-solve",
+            "tol-inf-validate"])
     def test_config_value_error_names_field(self, tmp_path, capsys, command, overrides,
                                             field, cause):
         path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)

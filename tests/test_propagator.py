@@ -107,7 +107,7 @@ class TestStep:
         stepper = ThetaStepper(
             drift((1.0, -0.6), 0.4), grid2d(47), TimeGrid(T=1.0, steps=256, theta=1.0), "upwind"
         )
-        _, lu, implicit, _, _ = stepper._step_system(0)
+        _, lu, implicit, _ = stepper._step_system(0)
         assert (lu.L.nnz + lu.U.nnz) / implicit.nnz <= 6.0
 
     @pytest.mark.parametrize("n, steps", [(511, 1), (1023, 1), (4095, 64)])
@@ -286,7 +286,8 @@ class TestStepperCache:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_time_dependent_march_assembles_each_time_once(self, grid1d, monkeypatch):
-        # step k's A_h(t_{k+1}) is step k+1's A_h(t_k): N_t + 1 assemblies
+        # step k's A_h(t_{k+1}) is step k+1's A_h(t_k): N_t + 1 assemblies,
+        # and N_t at theta = 1, where no step reads A_h(t_0)
         calls = []
 
         def counting(*args, **kwargs):
@@ -302,7 +303,17 @@ class TestStepperCache:
             delta=1.0,
             time_dependent=True,
         )
-        tg = TimeGrid(T=1.0, steps=8, theta=0.5)
-        apply_Q(np.ones(5), coeffs, grid1d(5), tg)
-        assert len(calls) == 9
-        assert sorted(calls) == pytest.approx([tg.time(k) for k in range(9)])
+        for theta, first in ((1.0, 1), (0.5, 0)):
+            calls.clear()
+            tg = TimeGrid(T=1.0, steps=8, theta=theta)
+            stepper = ThetaStepper(coeffs, grid1d(5), tg)
+            apply_Q(np.ones(5), coeffs, stepper.grid, tg, stepper=stepper)
+            assert sorted(calls) == pytest.approx([tg.time(k) for k in range(first, 9)])
+            calls.clear()
+            stepper.run(np.ones(5))
+            assert calls == []
+        # reading the generator assembles A_h(t_0) alone and factorizes nothing
+        calls.clear()
+        monkeypatch.setattr(propagator.spla, "splu", lambda *a, **k: pytest.fail("splu called"))
+        assert ThetaStepper(coeffs, grid1d(5), tg).generator.time_stamp == 0.0
+        assert calls == [0.0]
