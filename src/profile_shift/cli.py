@@ -349,7 +349,9 @@ def _gamma(spec, grid: Grid) -> tuple[dict, ProfileShift]:
         for (lo, hi), x in zip(bx, coords.T):
             _require(hi > lo, f"indicator interval [{lo}, {hi}] must have positive extent")
             inside &= (x >= lo) & (x <= hi)
-        gamma = _as_float(ind.get("value", 1.0), "gamma.indicator.value") * inside.astype(float)
+        value = _as_float(ind.get("value", 1.0), "gamma.indicator.value")
+        _require(np.isfinite(value), f"gamma.indicator.value must be finite, got {value}")
+        gamma = value * inside.astype(float)
     else:
         table = spec["table"]
         _require(isinstance(table, list) and table, "gamma.table must be a nonempty list")

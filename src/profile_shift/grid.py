@@ -9,6 +9,7 @@ Dirichlet boundary, exactly like the outer box boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -68,6 +69,8 @@ class Grid:
     index of each node, or -1 where the mask removed the cell.  ``nodes``
     lists the multi-indices of the M interior nodes in index order, so the
     two arrays form a bijection between interior nodes and 0..M-1.
+    ``coordinates()`` and ``neighbor(offset)`` are computed once per grid
+    and returned as read-only arrays, shared by every caller.
     """
 
     domain: Domain
@@ -92,9 +95,13 @@ class Grid:
         return vol
 
     def coordinates(self) -> np.ndarray:
-        """Physical coordinates of interior nodes, shape (M, dimension)."""
+        """Physical coordinates of interior nodes, shape (M, dimension), read-only."""
+        return self._coordinates
+
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
         lows = np.array([lo for lo, _ in self.domain.box])
-        return lows + (self.nodes + 1) * np.asarray(self.h)
+        return _read_only(lows + (self.nodes + 1) * np.asarray(self.h))
 
     def node_index(self, multi_index: Sequence[int]) -> int:
         """Linear index of a node, or -1 if outside the interior."""
@@ -107,13 +114,25 @@ class Grid:
     def neighbor(self, offset: Sequence[int]) -> np.ndarray:
         """Linear index of the node at ``offset`` from each interior node, or -1.
 
-        Returns an int array of length M; -1 marks a neighbor on the box
-        boundary or in a masked-out cell.
+        Returns a read-only int array of length M, computed once per offset;
+        -1 marks a neighbor on the box boundary or in a masked-out cell.
         """
-        step = np.asarray(offset, dtype=np.int64)
-        reach = int(np.abs(step).max())
-        padded = np.pad(self.index_map, reach, constant_values=-1)
-        return padded[tuple((self.nodes + reach + step).T)]
+        key = tuple(int(i) for i in offset)
+        if key not in self._neighbors:
+            step = np.asarray(key, dtype=np.int64)
+            reach = int(np.abs(step).max())
+            padded = np.pad(self.index_map, reach, constant_values=-1)
+            self._neighbors[key] = _read_only(padded[tuple((self.nodes + reach + step).T)])
+        return self._neighbors[key]
+
+    @cached_property
+    def _neighbors(self) -> dict[tuple[int, ...], np.ndarray]:
+        return {}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_grid(domain: Domain, nodes_per_axis: Sequence[int]) -> Grid:

@@ -15,14 +15,15 @@ nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NegativeAbsorption, NotElliptic, NotSymmetric, ValidationError
-from .grid import Grid
+from .grid import Grid, _read_only
 
 ADVECTION_MODES = ("upwind", "centered")
 
@@ -260,6 +261,109 @@ def _neighbor_jump(grid: Grid, a_samples: np.ndarray) -> float:
     return worst
 
 
+# The stencil's couplings after the diagonal, in the order ``assemble``
+# lists their weights: (offset from the row's node, whether it is a term of
+# the 2D cross difference, which couples only rows where a_xy != 0).
+_COUPLINGS = {
+    1: (((1,), False), ((-1,), False)),
+    2: (
+        ((1, 0), False), ((-1, 0), False), ((0, 1), False), ((0, -1), False),
+        ((1, 1), True), ((-1, -1), True), ((1, -1), True), ((-1, 1), True),
+    ),
+}
+
+# A 2D field may zero a_xy at other nodes at other times, so a grid keeps
+# the patterns of its last few mixed-term masks.
+_PATTERNS_PER_GRID = 4
+_patterns: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True, eq=False)
+class _Pattern:
+    """CSR sparsity pattern of the stencil on one grid for one mixed-term mask.
+
+    Every array is read-only and shared by all generators with this mask.
+    Entries are in CSR order (rows, then columns ascending); ``couplings``
+    holds, for each entry of ``_COUPLINGS``, the rows that carry it and the
+    positions of their entries, and ``csc_order`` the position of each
+    entry of the CSC form, whose arrays are ``csc_indptr`` and
+    ``csc_indices``.
+    """
+
+    mixed: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+    couplings: tuple
+    csc_order: np.ndarray
+    csc_indptr: np.ndarray
+    csc_indices: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.rows.size
+
+
+def _pattern(grid: Grid, mixed: np.ndarray) -> _Pattern:
+    """The stencil pattern of ``grid`` where the mixed term acts on ``mixed``, built once."""
+    key = mixed.tobytes() if mixed.any() else b""
+    patterns = _patterns.setdefault(grid, {})
+    if key not in patterns:
+        if len(patterns) == _PATTERNS_PER_GRID:
+            del patterns[next(iter(patterns))]
+        patterns[key] = _build_pattern(grid, mixed)
+    return patterns[key]
+
+
+def _build_pattern(grid: Grid, mixed: np.ndarray) -> _Pattern:
+    m = grid.size
+    rows, cols = [np.arange(m)], [np.arange(m)]
+    for offset, cross in _COUPLINGS[grid.dimension]:
+        col = grid.neighbor(offset)
+        # Dirichlet: a missing neighbor contributes nothing to the row.
+        keep = col >= 0
+        if cross:
+            keep &= mixed
+        rows.append(np.flatnonzero(keep))
+        cols.append(col[keep])
+    ends = np.cumsum([r.size for r in rows])
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((col, row))
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    # scipy keeps 32-bit indices whenever they fit
+    index = np.int32 if max(m, order.size) <= np.iinfo(np.int32).max else np.int64
+    indices = col[order].astype(index)
+    csr_rows = row[order]
+    csc_order = np.lexsort((csr_rows, indices))
+    off_diagonal = np.ones(order.size, dtype=bool)
+    off_diagonal[position[:m]] = False
+    return _Pattern(
+        mixed=_read_only(mixed.copy()),
+        indptr=_read_only(_indptr(csr_rows, m, index)),
+        indices=_read_only(indices),
+        rows=_read_only(csr_rows),
+        diagonal=_read_only(position[:m]),
+        off_diagonal=_read_only(off_diagonal),
+        couplings=tuple(
+            (_read_only(r), _read_only(position[lo:hi]))
+            for r, lo, hi in zip(rows[1:], ends[:-1], ends[1:])
+        ),
+        csc_order=_read_only(csc_order),
+        csc_indptr=_read_only(_indptr(indices, m, index)),
+        csc_indices=_read_only(csr_rows[csc_order].astype(index)),
+    )
+
+
+def _indptr(labels: np.ndarray, m: int, dtype) -> np.ndarray:
+    """Compressed-format pointers of entries grouped by ``labels`` in 0..m-1."""
+    indptr = np.zeros(m + 1, dtype=dtype)
+    np.cumsum(np.bincount(labels, minlength=m), out=indptr[1:])
+    return indptr
+
+
 @dataclass(frozen=True)
 class DiscreteGenerator:
     """Sparse action of A on interior nodes at a fixed time.
@@ -267,11 +371,50 @@ class DiscreteGenerator:
     ``m_matrix_certified`` is True only for upwind drift with no mixed
     diffusion terms and the verified sign pattern (off-diagonal >= 0,
     diagonal <= 0), which is what the discrete maximum principle needs.
+    ``matrix`` shares its read-only ``indices`` and ``indptr`` with every
+    generator assembled on the same grid and mixed-term mask.
     """
 
     matrix: sp.csr_matrix
     time_stamp: float
     m_matrix_certified: bool
+    _pattern: _Pattern | None = field(default=None, repr=False, compare=False)
+
+    def identity_plus(self, c: float) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """The CSR and CSC forms of I + c A_h, bit for bit those of scipy's arithmetic.
+
+        They equal ``(identity(M, format="csc") + c * matrix)`` converted to
+        each format: scipy adds sparse matrices entry by entry and drops an
+        entry whose sum is exactly 0, which a centered weight
+        a / h^2 - f / (2h) can be.  Built from the generator's pattern,
+        through its fixed index maps.
+        """
+        pattern = self._pattern
+        m = pattern.diagonal.size
+        data = c * self.matrix.data
+        data[pattern.diagonal] += 1.0
+        csc_data = data[pattern.csc_order]
+        csr = (data, pattern.indices, pattern.indptr)
+        csc = (csc_data, pattern.csc_indices, pattern.csc_indptr)
+        kept = data != 0.0
+        if not kept.all():
+            columns = pattern.indices[kept]
+            in_csc = kept[pattern.csc_order]
+            dtype = pattern.indptr.dtype
+            csr = (data[kept], columns, _indptr(pattern.rows[kept], m, dtype))
+            csc = (csc_data[in_csc], pattern.csc_indices[in_csc], _indptr(columns, m, dtype))
+        return sp.csr_matrix(csr, shape=(m, m)), sp.csc_matrix(csc, shape=(m, m))
+
+
+def _generator(pattern: _Pattern, data: np.ndarray, t: float, certified: bool):
+    """The generator at time t whose CSR data, over ``pattern``, is ``data``."""
+    m = pattern.diagonal.size
+    return DiscreteGenerator(
+        sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(m, m)),
+        float(t),
+        certified,
+        pattern,
+    )
 
 
 def assemble(
@@ -285,18 +428,19 @@ def assemble(
     Couplings to nodes outside the interior (box boundary or masked-out
     cells) are dropped, which encodes the homogeneous Dirichlet condition.
     Non-finite, asymmetric or negative-absorption coefficients raise the
-    errors listed in ``_sample``.
+    errors listed in ``_sample``.  The sparsity pattern is built once per
+    grid and mixed-term mask; an assembly fills only its data, which holds
+    every stencil weight, zeros included.
     """
     if advection_mode not in ADVECTION_MODES:
         raise ValueError(f"advection_mode must be one of {ADVECTION_MODES}")
 
     a, f, q = _sample(coeffs, grid, t)
     dim = grid.dimension
-    everywhere = np.ones(grid.size, dtype=bool)
-    # (offset, weight per row, rows that carry the coupling)
-    stencil = []
+    # one weight per row for each entry of _COUPLINGS[dim]
+    weights = []
     diag = -q
-    for axis, unit in enumerate(np.eye(dim, dtype=np.int64)):
+    for axis in range(dim):
         h = grid.h[axis]
         # centered second difference for a_ii d2/dx_i2, plus the drift f_i d/dx_i
         w = a[:, axis, axis] / h**2
@@ -306,37 +450,22 @@ def assemble(
             fp = np.maximum(fi, 0.0)
             fm = np.maximum(-fi, 0.0)
             diag = diag - (fp + fm) / h
-            stencil += [(unit, w + fp / h, everywhere), (-unit, w + fm / h, everywhere)]
+            weights += [w + fp / h, w + fm / h]
         else:
-            stencil += [
-                (unit, w + fi / (2.0 * h), everywhere),
-                (-unit, w - fi / (2.0 * h), everywhere),
-            ]
+            weights += [w + fi / (2.0 * h), w - fi / (2.0 * h)]
 
     mixed = np.zeros(grid.size, dtype=bool)
     if dim == 2:
         # four-point cross difference for 2*a_xy d2/dxdy
         mixed = a[:, 0, 1] != 0.0
         w = a[:, 0, 1] / (2.0 * grid.h[0] * grid.h[1])
-        stencil += [
-            (np.array([sx, sy]), sx * sy * w, mixed)
-            for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1))
-        ]
+        weights += [sx * sy * w for (sx, sy), cross in _COUPLINGS[2] if cross]
 
-    rows, cols, vals = [np.arange(grid.size)], [np.arange(grid.size)], [diag]
-    for offset, weight, active in stencil:
-        col = grid.neighbor(offset)
-        # Dirichlet: a missing neighbor contributes nothing to the row.
-        keep = active & (col >= 0)
-        rows.append(np.flatnonzero(keep))
-        cols.append(col[keep])
-        vals.append(weight[keep])
-    off_diagonal = np.concatenate(vals[1:])
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.size, grid.size),
-    )
-    matrix.sum_duplicates()
+    pattern = _pattern(grid, mixed)
+    data = np.empty(pattern.nnz)
+    data[pattern.diagonal] = diag
+    for weight, (rows, positions) in zip(weights, pattern.couplings):
+        data[positions] = weight[rows]
 
     # The sign pattern (off-diagonal >= 0, diagonal <= 0) read off the
     # stencil weights: every (row, column) pair appears once.
@@ -344,6 +473,6 @@ def assemble(
         advection_mode == "upwind"
         and not mixed.any()
         and not np.any(diag > 0)
-        and not np.any(off_diagonal < 0)
+        and not np.any(data[pattern.off_diagonal] < 0)
     )
-    return DiscreteGenerator(matrix=matrix, time_stamp=float(t), m_matrix_certified=certified)
+    return _generator(pattern, data, t, certified)

@@ -19,15 +19,18 @@ blocks, and every check is made column by column.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InnerSolveFailure
 from .grid import Grid
-from .operators import CoefficientField, DiscreteGenerator, assemble
+from .operators import CoefficientField, DiscreteGenerator, _generator, _pattern, assemble
 
 # Bound on the normwise backward error of one implicit step solve, per
 # column.  SuperLU's step solves measure at most 0.26 eps on 200 random
@@ -36,6 +39,16 @@ from .operators import CoefficientField, DiscreteGenerator, assemble
 # leaves a factor near 40 above that, while a solve that has lost more than
 # four bits still fails.
 INNER_BACKWARD_ERROR = 16.0 * np.finfo(float).eps
+
+# Least predicted cost of a forked child's share of a march's time nodes.
+# Starting a child by os.fork, receiving an empty message through a pipe
+# and joining it took 3-5 ms (medians of 30; at most 10 ms) on a shared
+# 2-core Linux machine, at 63 and at 263 MB resident.  A share predicted
+# below ten of those stays in this process, which leaves room for a first
+# node timed slow.  The benchmark's time-dependent field (M = 255,
+# N_t = 256) assembles in about 0.85 ms a node, so a child's half of a
+# march costs about 0.11 s.
+MIN_CHILD_SHARE_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,14 @@ class Trajectory:
 
 
 class ThetaStepper:
-    """Reusable stepping engine with cached generators and factorizations."""
+    """Reusable stepping engine with cached generators and factorizations.
+
+    For a time-dependent field, ``run`` assembles ahead every time node its
+    march reads, on up to one process per available core (see
+    ``_assemble_ahead``), and each step then builds its matrices from the
+    two generators' data.  The cache keeps every step's factorization, so a
+    second march assembles and factorizes nothing.
+    """
 
     def __init__(
         self,
@@ -128,7 +148,6 @@ class ThetaStepper:
         self.grid = grid
         self.timegrid = timegrid
         self.advection_mode = advection_mode
-        self._identity = sp.identity(grid.size, format="csc")
         self._cache: dict[int, tuple] = {}
         self._generators: dict[int, DiscreteGenerator] = {}
 
@@ -157,18 +176,18 @@ class ThetaStepper:
         None when theta = 1, where it is exactly I and A_h(t_k) is not read;
         ``implicit`` is the CSR copy used for residuals (SuperLU gets the CSC
         form), and ``implicit_norm`` is sqrt(||B||_1 ||B||_inf), a bound on
-        its 2-norm.  Only steps k - 1 and k read A_h(t_k), so step k drops
-        it, unless k = 0: ``generator`` reads A_h(t_0).
+        its 2-norm.  Both are built from the generators' data by
+        ``DiscreteGenerator.identity_plus``, bit for bit as scipy's sparse
+        arithmetic would.  Only steps k - 1 and k read A_h(t_k), so step k
+        drops it, unless k = 0: ``generator`` reads A_h(t_0).
         """
         key = k if self.coeffs.time_dependent else 0
         if key not in self._cache:
             tg = self.timegrid
             explicit = None
             if tg.theta != 1.0:
-                gen0 = self._generator(key).matrix
-                explicit = (self._identity + (1.0 - tg.theta) * tg.dt * gen0).tocsr()
-            gen1 = self._generator(key + 1).matrix
-            implicit = (self._identity - tg.theta * tg.dt * gen1).tocsc()
+                explicit = self._generator(key).identity_plus((1.0 - tg.theta) * tg.dt)[0]
+            implicit_csr, implicit = self._generator(key + 1).identity_plus(-(tg.theta * tg.dt))
             if key:
                 self._generators.pop(key, None)
             # The stencils are structurally symmetric, so minimum degree on
@@ -176,7 +195,6 @@ class ThetaStepper:
             # orderings) fills less than the default COLAMD: the factors hold
             # 5.5 times the nonzeros of B at 47 x 47, against 9.3.
             lu = spla.splu(implicit, permc_spec="MMD_AT_PLUS_A")
-            implicit_csr = implicit.tocsr()
             # ||B||_1 and ||B||_inf as the largest absolute column and row
             # sums: CSR indices are column numbers, CSC indices row numbers.
             norm_1 = np.bincount(implicit_csr.indices, np.abs(implicit_csr.data)).max()
@@ -229,7 +247,13 @@ class ThetaStepper:
         anisotropic grids every step solve tried at M = 2209 and M = 3969
         was bit for bit equal, while at M = 9025 and M = 16129 a few in a
         hundred differed, by at most 4.4e-16 on unit-sized data.
+
+        A time-dependent field's nodes are assembled before the first step,
+        possibly in forked children (``_assemble_ahead``); the result is bit
+        for bit that of a serial march, and an error in a coefficient
+        callable is raised here as the serial march raises it.
         """
+        self._assemble_ahead(start_index)
         v = np.asarray(values, dtype=float)
         if keep:
             kept = np.empty((self.timegrid.steps - start_index + 1,) + v.shape)
@@ -239,6 +263,118 @@ class ThetaStepper:
             if keep:
                 kept[k - start_index + 1] = v
         return kept if keep else v
+
+    def _assemble_ahead(self, start: int) -> None:
+        """Assemble the time nodes a march from ``start`` reads for uncached steps.
+
+        Time-dependent fields only.  The first such node is assembled here
+        and timed.  When that time predicts that a child's share of the rest
+        costs at least MIN_CHILD_SHARE_S, the rest is split in order between
+        this process, which takes the first share, and children forked from
+        it, one process per available core at most.  Each child assembles
+        its share and sends the generators' data through a pipe; every child
+        is joined before this returns or raises.  Otherwise, or without
+        os.fork, or in a daemonic process (which may not have children), the
+        march assembles the rest as it goes.  A child that fails or dies
+        leaves its share to the march, which raises a callable's error as
+        the serial march does.
+        """
+        if not self.coeffs.time_dependent:
+            return
+        first = 1 if self.timegrid.theta == 1.0 else 0
+        todo = sorted({
+            node
+            for k in range(start, self.timegrid.steps) if k not in self._cache
+            for node in range(k + first, k + 2) if node not in self._generators
+        })
+        if not todo:
+            return
+        began = time.perf_counter()
+        self._generator(todo[0])
+        cost = time.perf_counter() - began
+        rest = todo[1:]
+        processes = min(_cores(), len(rest))
+        while processes > 1 and cost * len(rest) / processes < MIN_CHILD_SHARE_S:
+            processes -= 1
+        if (
+            processes > 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+        ):
+            self._assemble_forked([share.tolist() for share in np.array_split(rest, processes)])
+
+    def _assemble_forked(self, shares: list[list[int]]) -> None:
+        """Assemble the first share of nodes here and each other share in a forked child."""
+        context = multiprocessing.get_context("fork")
+        children = []
+        try:
+            for share in shares[1:]:
+                reader, writer = context.Pipe(duplex=False)
+                child = context.Process(target=_assemble_in_child, args=(self, share, writer))
+                try:
+                    child.start()
+                except OSError:  # no process to spare: the march assembles this share
+                    reader.close()
+                    continue
+                finally:
+                    # Only the child may hold the write end, so that its
+                    # death ends the parent's read.
+                    writer.close()
+                children.append((child, reader, share))
+            for node in shares[0]:
+                self._generator(node)
+            for child, reader, share in children:
+                received = _receive(reader, self, share)
+                child.join()
+                if received is not None and child.exitcode == 0:
+                    self._generators.update(received)
+        finally:
+            for child, reader, _ in children:
+                reader.close()  # a child still sending stops at the closed pipe
+                child.join()
+
+
+def _assemble_in_child(stepper: ThetaStepper, nodes: list[int], writer) -> None:
+    """Assemble A_h(t_k) for each of ``nodes`` in a forked child and send it through ``writer``.
+
+    The whole share is assembled first, as the parent reads only once its
+    own share is done.  Each generator is two messages: its certification
+    flag and mixed-term mask, then its data.  Any failure ends the child
+    with exit code 1 and no output; the parent's march assembles the share
+    again and raises the error itself.
+    """
+    try:
+        generators = [stepper._generator(k) for k in nodes]
+        for generator in generators:
+            writer.send_bytes(
+                bytes([generator.m_matrix_certified]) + generator._pattern.mixed.tobytes()
+            )
+            writer.send_bytes(generator.matrix.data)
+    except BaseException:
+        sys.exit(1)
+
+
+def _receive(reader, stepper: ThetaStepper, nodes: list[int]):
+    """The generators a child sent for ``nodes``, or None if it ended before sending them all."""
+    received = {}
+    try:
+        for k in nodes:
+            head = reader.recv_bytes()
+            pattern = _pattern(stepper.grid, np.frombuffer(head, dtype=bool, offset=1))
+            data = np.empty(pattern.nnz)
+            if reader.recv_bytes_into(data) != data.nbytes:
+                return None
+            received[k] = _generator(pattern, data, stepper.timegrid.time(k), bool(head[0]))
+    except (EOFError, OSError, multiprocessing.BufferTooShort):
+        return None
+    return received
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper):

@@ -528,6 +528,9 @@ class TestExitCodes:
         # does not parse again
         ("solve", {"gamma": {"indicator": {"box": [[1.0, math.inf]]}}},
          "gamma.indicator.box", "must have finite endpoints"),
+        # inf * 0 outside the box would warn and then blame gamma
+        ("solve", {"gamma": {"indicator": {"box": [[1.0, 2.0]], "value": math.inf}}},
+         "gamma.indicator.value", "must be finite"),
         ("solve", {"gamma": {"eigenfunction": 2}, "solver": {"tol": 2.0}},
          "solver.tol", "must lie in (0, 1)"),
         ("solve", {"solver": {"tol": 1.0}}, "solver.tol", "must lie in (0, 1)"),
@@ -535,8 +538,8 @@ class TestExitCodes:
          "solver.tol", "must lie in (0, 1)"),
     ], ids=["T-inf-solve", "T-inf-posedness", "box-inf", "axx-nan", "rate-nan", "preset-list",
             "tabulated-extra-field", "table-length-spectrum", "nonneg-conflict", "delta-inf",
-            "mask-posedness", "indicator-inf", "tol-2-solve", "tol-1-nonneg-solve",
-            "tol-inf-validate"])
+            "mask-posedness", "indicator-inf", "indicator-value-inf", "tol-2-solve",
+            "tol-1-nonneg-solve", "tol-inf-validate"])
     def test_config_value_error_names_field(self, tmp_path, capsys, command, overrides,
                                             field, cause):
         path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)
