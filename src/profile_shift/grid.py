@@ -69,8 +69,9 @@ class Grid:
     index of each node, or -1 where the mask removed the cell.  ``nodes``
     lists the multi-indices of the M interior nodes in index order, so the
     two arrays form a bijection between interior nodes and 0..M-1.
-    ``coordinates()`` and ``neighbor(offset)`` are computed once per grid
-    and returned as read-only arrays, shared by every caller.
+    ``coordinates()`` is computed once per grid and returned as a read-only
+    array, shared by every caller; ``operators.assemble`` keeps the stencil's
+    sparsity pattern on the grid the same way.
     """
 
     domain: Domain
@@ -114,20 +115,13 @@ class Grid:
     def neighbor(self, offset: Sequence[int]) -> np.ndarray:
         """Linear index of the node at ``offset`` from each interior node, or -1.
 
-        Returns a read-only int array of length M, computed once per offset;
-        -1 marks a neighbor on the box boundary or in a masked-out cell.
+        Returns an int array of length M; -1 marks a neighbor on the box
+        boundary or in a masked-out cell.
         """
-        key = tuple(int(i) for i in offset)
-        if key not in self._neighbors:
-            step = np.asarray(key, dtype=np.int64)
-            reach = int(np.abs(step).max())
-            padded = np.pad(self.index_map, reach, constant_values=-1)
-            self._neighbors[key] = _read_only(padded[tuple((self.nodes + reach + step).T)])
-        return self._neighbors[key]
-
-    @cached_property
-    def _neighbors(self) -> dict[tuple[int, ...], np.ndarray]:
-        return {}
+        step = np.asarray(offset, dtype=np.int64)
+        reach = int(np.abs(step).max())
+        padded = np.pad(self.index_map, reach, constant_values=-1)
+        return padded[tuple((self.nodes + reach + step).T)]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ nodes.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -272,11 +271,6 @@ _COUPLINGS = {
     ),
 }
 
-# A 2D field may zero a_xy at other nodes at other times, so a grid keeps
-# the patterns of its last few mixed-term masks.
-_PATTERNS_PER_GRID = 4
-_patterns: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 @dataclass(frozen=True, eq=False)
 class _Pattern:
@@ -285,9 +279,7 @@ class _Pattern:
     Every array is read-only and shared by all generators with this mask.
     Entries are in CSR order (rows, then columns ascending); ``couplings``
     holds, for each entry of ``_COUPLINGS``, the rows that carry it and the
-    positions of their entries, and ``csc_order`` the position of each
-    entry of the CSC form, whose arrays are ``csc_indptr`` and
-    ``csc_indices``.
+    positions of their entries.
     """
 
     mixed: np.ndarray
@@ -297,9 +289,6 @@ class _Pattern:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
     couplings: tuple
-    csc_order: np.ndarray
-    csc_indptr: np.ndarray
-    csc_indices: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -307,14 +296,16 @@ class _Pattern:
 
 
 def _pattern(grid: Grid, mixed: np.ndarray) -> _Pattern:
-    """The stencil pattern of ``grid`` where the mixed term acts on ``mixed``, built once."""
-    key = mixed.tobytes() if mixed.any() else b""
-    patterns = _patterns.setdefault(grid, {})
-    if key not in patterns:
-        if len(patterns) == _PATTERNS_PER_GRID:
-            del patterns[next(iter(patterns))]
-        patterns[key] = _build_pattern(grid, mixed)
-    return patterns[key]
+    """The stencil pattern of ``grid`` where the mixed term acts on ``mixed``.
+
+    A grid keeps the pattern of the last mask it was asked for, in its
+    ``__dict__`` as ``functools.cached_property`` keeps the grid's other
+    caches; another mask replaces it.
+    """
+    pattern = grid.__dict__.get("_stencil_pattern")
+    if pattern is None or not np.array_equal(pattern.mixed, mixed):
+        pattern = grid.__dict__["_stencil_pattern"] = _build_pattern(grid, mixed)
+    return pattern
 
 
 def _build_pattern(grid: Grid, mixed: np.ndarray) -> _Pattern:
@@ -335,15 +326,13 @@ def _build_pattern(grid: Grid, mixed: np.ndarray) -> _Pattern:
     position[order] = np.arange(order.size)
     # scipy keeps 32-bit indices whenever they fit
     index = np.int32 if max(m, order.size) <= np.iinfo(np.int32).max else np.int64
-    indices = col[order].astype(index)
     csr_rows = row[order]
-    csc_order = np.lexsort((csr_rows, indices))
     off_diagonal = np.ones(order.size, dtype=bool)
     off_diagonal[position[:m]] = False
     return _Pattern(
         mixed=_read_only(mixed.copy()),
         indptr=_read_only(_indptr(csr_rows, m, index)),
-        indices=_read_only(indices),
+        indices=_read_only(col[order].astype(index)),
         rows=_read_only(csr_rows),
         diagonal=_read_only(position[:m]),
         off_diagonal=_read_only(off_diagonal),
@@ -351,16 +340,13 @@ def _build_pattern(grid: Grid, mixed: np.ndarray) -> _Pattern:
             (_read_only(r), _read_only(position[lo:hi]))
             for r, lo, hi in zip(rows[1:], ends[:-1], ends[1:])
         ),
-        csc_order=_read_only(csc_order),
-        csc_indptr=_read_only(_indptr(indices, m, index)),
-        csc_indices=_read_only(csr_rows[csc_order].astype(index)),
     )
 
 
-def _indptr(labels: np.ndarray, m: int, dtype) -> np.ndarray:
-    """Compressed-format pointers of entries grouped by ``labels`` in 0..m-1."""
+def _indptr(rows: np.ndarray, m: int, dtype) -> np.ndarray:
+    """CSR row pointers of entries in the rows ``rows``, each in 0..m-1."""
     indptr = np.zeros(m + 1, dtype=dtype)
-    np.cumsum(np.bincount(labels, minlength=m), out=indptr[1:])
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
     return indptr
 
 
@@ -380,30 +366,27 @@ class DiscreteGenerator:
     m_matrix_certified: bool
     _pattern: _Pattern | None = field(default=None, repr=False, compare=False)
 
-    def identity_plus(self, c: float) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-        """The CSR and CSC forms of I + c A_h, bit for bit those of scipy's arithmetic.
+    def identity_plus(self, c: float) -> sp.csr_matrix:
+        """I + c A_h in CSR form, bit for bit that of scipy's arithmetic.
 
-        They equal ``(identity(M, format="csc") + c * matrix)`` converted to
-        each format: scipy adds sparse matrices entry by entry and drops an
-        entry whose sum is exactly 0, which a centered weight
-        a / h^2 - f / (2h) can be.  Built from the generator's pattern,
-        through its fixed index maps.
+        It equals ``(identity(M, format="csc") + c * matrix).tocsr()``:
+        scipy adds sparse matrices entry by entry and drops an entry whose
+        sum is exactly 0, which a centered weight a / h^2 - f / (2h) can be.
+        Built from the generator's data over its pattern.
         """
         pattern = self._pattern
         m = pattern.diagonal.size
         data = c * self.matrix.data
         data[pattern.diagonal] += 1.0
-        csc_data = data[pattern.csc_order]
         csr = (data, pattern.indices, pattern.indptr)
-        csc = (csc_data, pattern.csc_indices, pattern.csc_indptr)
         kept = data != 0.0
         if not kept.all():
-            columns = pattern.indices[kept]
-            in_csc = kept[pattern.csc_order]
-            dtype = pattern.indptr.dtype
-            csr = (data[kept], columns, _indptr(pattern.rows[kept], m, dtype))
-            csc = (csc_data[in_csc], pattern.csc_indices[in_csc], _indptr(columns, m, dtype))
-        return sp.csr_matrix(csr, shape=(m, m)), sp.csc_matrix(csc, shape=(m, m))
+            csr = (
+                data[kept],
+                pattern.indices[kept],
+                _indptr(pattern.rows[kept], m, pattern.indptr.dtype),
+            )
+        return sp.csr_matrix(csr, shape=(m, m))
 
 
 def _generator(pattern: _Pattern, data: np.ndarray, t: float, certified: bool):
@@ -417,6 +400,26 @@ def _generator(pattern: _Pattern, data: np.ndarray, t: float, certified: bool):
     )
 
 
+def _to_bytes(generator: DiscreteGenerator) -> bytes:
+    """A generator as bytes: its certification flag, mixed-term mask and data.
+
+    ``_from_bytes`` rebuilds it on the same grid, bit for bit.
+    """
+    pattern = generator._pattern
+    return (
+        bytes([generator.m_matrix_certified])
+        + pattern.mixed.tobytes()
+        + generator.matrix.data.tobytes()
+    )
+
+
+def _from_bytes(payload: bytes, grid: Grid, t: float) -> DiscreteGenerator:
+    """The generator at time t on ``grid`` that ``_to_bytes`` turned into ``payload``."""
+    mixed = np.frombuffer(payload, dtype=bool, count=grid.size, offset=1)
+    data = np.frombuffer(payload, offset=1 + grid.size).copy()
+    return _generator(_pattern(grid, mixed), data, t, bool(payload[0]))
+
+
 def assemble(
     coeffs: CoefficientField,
     grid: Grid,
@@ -428,9 +431,9 @@ def assemble(
     Couplings to nodes outside the interior (box boundary or masked-out
     cells) are dropped, which encodes the homogeneous Dirichlet condition.
     Non-finite, asymmetric or negative-absorption coefficients raise the
-    errors listed in ``_sample``.  The sparsity pattern is built once per
-    grid and mixed-term mask; an assembly fills only its data, which holds
-    every stencil weight, zeros included.
+    errors listed in ``_sample``.  The grid keeps the sparsity pattern of
+    the last mixed-term mask (``_pattern``), so an assembly with that mask
+    fills only its data, which holds every stencil weight, zeros included.
     """
     if advection_mode not in ADVECTION_MODES:
         raise ValueError(f"advection_mode must be one of {ADVECTION_MODES}")

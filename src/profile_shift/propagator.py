@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InnerSolveFailure
 from .grid import Grid
-from .operators import CoefficientField, DiscreteGenerator, _generator, _pattern, assemble
+from .operators import CoefficientField, DiscreteGenerator, _from_bytes, _to_bytes, assemble
 
 # Bound on the normwise backward error of one implicit step solve, per
 # column.  SuperLU's step solves measure at most 0.26 eps on 200 random
@@ -49,6 +49,16 @@ INNER_BACKWARD_ERROR = 16.0 * np.finfo(float).eps
 # N_t = 256) assembles in about 0.85 ms a node, so a child's half of a
 # march costs about 0.11 s.
 MIN_CHILD_SHARE_S = 0.05
+
+# How long this process waits for a forked child, counted from its start:
+# CHILD_PATIENCE times the child's share at the first node's cost, and at
+# least CHILD_MIN_WAIT_S.  A child that has not sent its share and exited
+# by then (deadlocked after the fork, say) is killed, and the march
+# assembles its share.  On the same machine, 812 children of the tests'
+# property run (the gate at 0, a few nodes each, under a loaded pytest
+# process) sent their share after 9 ms in the median and 0.18 s at most.
+CHILD_PATIENCE = 10.0
+CHILD_MIN_WAIT_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -176,7 +186,7 @@ class ThetaStepper:
         None when theta = 1, where it is exactly I and A_h(t_k) is not read;
         ``implicit`` is the CSR copy used for residuals (SuperLU gets the CSC
         form), and ``implicit_norm`` is sqrt(||B||_1 ||B||_inf), a bound on
-        its 2-norm.  Both are built from the generators' data by
+        its 2-norm.  Both matrices are built from the generators' data by
         ``DiscreteGenerator.identity_plus``, bit for bit as scipy's sparse
         arithmetic would.  Only steps k - 1 and k read A_h(t_k), so step k
         drops it, unless k = 0: ``generator`` reads A_h(t_0).
@@ -186,8 +196,9 @@ class ThetaStepper:
             tg = self.timegrid
             explicit = None
             if tg.theta != 1.0:
-                explicit = self._generator(key).identity_plus((1.0 - tg.theta) * tg.dt)[0]
-            implicit_csr, implicit = self._generator(key + 1).identity_plus(-(tg.theta * tg.dt))
+                explicit = self._generator(key).identity_plus((1.0 - tg.theta) * tg.dt)
+            implicit_csr = self._generator(key + 1).identity_plus(-(tg.theta * tg.dt))
+            implicit = implicit_csr.tocsc()
             if key:
                 self._generators.pop(key, None)
             # The stencils are structurally symmetric, so minimum degree on
@@ -269,15 +280,17 @@ class ThetaStepper:
 
         Time-dependent fields only.  The first such node is assembled here
         and timed.  When that time predicts that a child's share of the rest
-        costs at least MIN_CHILD_SHARE_S, the rest is split in order between
-        this process, which takes the first share, and children forked from
-        it, one process per available core at most.  Each child assembles
-        its share and sends the generators' data through a pipe; every child
-        is joined before this returns or raises.  Otherwise, or without
-        os.fork, or in a daemonic process (which may not have children), the
-        march assembles the rest as it goes.  A child that fails or dies
-        leaves its share to the march, which raises a callable's error as
-        the serial march does.
+        costs at least MIN_CHILD_SHARE_S, and forking is known to be safe
+        (``_fork_is_safe``), the rest is split in order between this
+        process, which takes the first share, and children forked from it,
+        one process per available core at most.  Each child assembles its
+        share and sends the generators through a pipe; every child is
+        joined before this returns or raises, and one that has not finished
+        within CHILD_PATIENCE times its predicted time (CHILD_MIN_WAIT_S at
+        least) is killed.
+        Otherwise the march assembles the rest as it goes.  A child that
+        fails, dies or is killed leaves its share to the march, which
+        raises a callable's error as the serial march does.
         """
         if not self.coeffs.time_dependent:
             return
@@ -293,44 +306,49 @@ class ThetaStepper:
         self._generator(todo[0])
         cost = time.perf_counter() - began
         rest = todo[1:]
+        if not _fork_is_safe():
+            return
         processes = min(_cores(), len(rest))
         while processes > 1 and cost * len(rest) / processes < MIN_CHILD_SHARE_S:
             processes -= 1
-        if (
-            processes > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-        ):
-            self._assemble_forked([share.tolist() for share in np.array_split(rest, processes)])
+        if processes > 1:
+            shares = [share.tolist() for share in np.array_split(rest, processes)]
+            self._assemble_forked(shares, cost)
 
-    def _assemble_forked(self, shares: list[list[int]]) -> None:
-        """Assemble the first share of nodes here and each other share in a forked child."""
+    def _assemble_forked(self, shares: list[list[int]], cost: float) -> None:
+        """Assemble the first share of nodes here and each other share in a forked child.
+
+        ``cost`` is the time one node took here, from which each child's
+        deadline is set.
+        """
         context = multiprocessing.get_context("fork")
         children = []
         try:
             for share in shares[1:]:
                 reader, writer = context.Pipe(duplex=False)
                 child = context.Process(target=_assemble_in_child, args=(self, share, writer))
+                patience = max(CHILD_PATIENCE * cost * len(share), CHILD_MIN_WAIT_S)
                 try:
                     child.start()
-                except OSError:  # no process to spare: the march assembles this share
+                except Exception:  # no process to spare, say: the march assembles this share
                     reader.close()
                     continue
                 finally:
                     # Only the child may hold the write end, so that its
                     # death ends the parent's read.
                     writer.close()
-                children.append((child, reader, share))
+                children.append((child, reader, share, time.monotonic() + patience))
             for node in shares[0]:
                 self._generator(node)
-            for child, reader, share in children:
-                received = _receive(reader, self, share)
-                child.join()
+            for child, reader, share, deadline in children:
+                received = _receive(reader, self, share, deadline)
+                child.join(max(0.0, deadline - time.monotonic()))
                 if received is not None and child.exitcode == 0:
                     self._generators.update(received)
         finally:
-            for child, reader, _ in children:
-                reader.close()  # a child still sending stops at the closed pipe
+            for child, reader, _, _ in children:
+                reader.close()
+                child.kill()  # does nothing to a child already joined
                 child.join()
 
 
@@ -338,43 +356,53 @@ def _assemble_in_child(stepper: ThetaStepper, nodes: list[int], writer) -> None:
     """Assemble A_h(t_k) for each of ``nodes`` in a forked child and send it through ``writer``.
 
     The whole share is assembled first, as the parent reads only once its
-    own share is done.  Each generator is two messages: its certification
-    flag and mixed-term mask, then its data.  Any failure ends the child
-    with exit code 1 and no output; the parent's march assembles the share
-    again and raises the error itself.
+    own share is done; each generator is one message.  Any failure ends the
+    child with exit code 1 and no output; the parent's march assembles the
+    share again and raises the error itself.
     """
     try:
         generators = [stepper._generator(k) for k in nodes]
         for generator in generators:
-            writer.send_bytes(
-                bytes([generator.m_matrix_certified]) + generator._pattern.mixed.tobytes()
-            )
-            writer.send_bytes(generator.matrix.data)
+            writer.send_bytes(_to_bytes(generator))
     except BaseException:
         sys.exit(1)
 
 
-def _receive(reader, stepper: ThetaStepper, nodes: list[int]):
-    """The generators a child sent for ``nodes``, or None if it ended before sending them all."""
+def _receive(reader, stepper: ThetaStepper, nodes: list[int], deadline: float):
+    """The generators a child sent for ``nodes``.
+
+    None if the child ended, or ``deadline`` passed, before it sent them all.
+    """
     received = {}
     try:
         for k in nodes:
-            head = reader.recv_bytes()
-            pattern = _pattern(stepper.grid, np.frombuffer(head, dtype=bool, offset=1))
-            data = np.empty(pattern.nnz)
-            if reader.recv_bytes_into(data) != data.nbytes:
+            if not reader.poll(max(0.0, deadline - time.monotonic())):
                 return None
-            received[k] = _generator(pattern, data, stepper.timegrid.time(k), bool(head[0]))
-    except (EOFError, OSError, multiprocessing.BufferTooShort):
+            received[k] = _from_bytes(reader.recv_bytes(), stepper.grid, stepper.timegrid.time(k))
+    except (EOFError, OSError):
         return None
     return received
 
 
+def _fork_is_safe() -> bool:
+    """Whether this process may fork children that run Python without exec.
+
+    Only on Linux, outside a daemonic process (which may not have children)
+    and with no thread but the calling one: a lock that another thread
+    holds at the fork, native BLAS and OpenMP threads included, stays held
+    in the child.  macOS has fork, but forking without exec is unsafe there.
+    """
+    if not sys.platform.startswith("linux") or multiprocessing.current_process().daemon:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def _cores() -> int:
-    """The number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The number of cores this process may run on (Linux)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper):

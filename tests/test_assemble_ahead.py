@@ -4,14 +4,19 @@ With the gate ``MIN_CHILD_SHARE_S`` patched to 0 even tiny grids take the
 forked path.  Every generator, step system and march is then bit for bit
 that of the serial path, and each step system is bit for bit what scipy's
 sparse arithmetic gives, including the entries it drops for being exactly
-0.  A child that fails or dies leaves its share to the parent, which raises
-a callable's error as the serial march does.
+0.  A child that fails, dies or hangs leaves its share to the parent, which
+raises a callable's error as the serial march does.  Forking is refused
+where it is not known to be safe.
 """
 
 import contextlib
 import math
 import multiprocessing.process
 import os
+import sys
+import threading
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -80,9 +85,10 @@ def moving_front_field(dim, h, width, scale, rho, centered_zero):
     """A field whose a, f and q vary in x and t.
 
     In 2D, a_xy is 0 left of a front that crosses the box's ``width`` as t
-    goes from 0 to 1, so the mixed-term mask changes between time nodes.  Where ``centered_zero`` holds, f_i is
-    2 a_ii / h_i, so the centered weight a_ii / h_i^2 - f_i / (2 h_i) is
-    exactly 0 when h_i is a power of 2.
+    goes from 0 to 1, so the mixed-term mask changes between time nodes.
+    Where ``centered_zero`` holds, f_i is 2 a_ii / h_i, so the centered
+    weight a_ii / h_i^2 - f_i / (2 h_i) is exactly 0 when h_i is a power
+    of 2.
     """
 
     def a(x, t):
@@ -226,6 +232,78 @@ class TestChildFailure:
             got = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
         assert len(starts) == 2
         assert got.tobytes() == expected.tobytes()
+
+    def test_child_that_blocks_forever_is_killed_and_its_share_assembled_here(self, starts):
+        grid, timegrid = grid_and_nodes()
+        parent = os.getpid()
+
+        def q(x, t):
+            if os.getpid() != parent:
+                threading.Event().wait()
+            return t * x[0]
+
+        coeffs = field(lambda x, t: (1.0 + t) * np.eye(2), q)
+        x = np.random.default_rng(6).standard_normal(grid.size)
+        with serial():
+            expected = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
+        began = time.monotonic()
+        with forked(cores=2), mock.patch.object(propagator, "CHILD_MIN_WAIT_S", 0.2):
+            got = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
+        assert time.monotonic() - began < 5.0
+        assert len(starts) == 1
+        assert starts[0].exitcode == -9
+        assert got.tobytes() == expected.tobytes()
+
+    def test_start_that_raises_a_warning_leaves_the_share_here(self):
+        # Python 3.12 and later warn when a threaded process forks; under
+        # warnings-as-errors that warning is raised by Process.start.
+        grid, timegrid = grid_and_nodes()
+        coeffs = field(lambda x, t: (1.0 + t) * np.eye(2), lambda x, t: t * x[0])
+        x = np.random.default_rng(8).standard_normal(grid.size)
+        with serial():
+            expected = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
+
+        def start(process):
+            raise DeprecationWarning("this process is multi-threaded")
+
+        with forked(), mock.patch.object(multiprocessing.process.BaseProcess, "start", start):
+            got = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
+        assert got.tobytes() == expected.tobytes()
+        with forked(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestForkGate:
+    def march(self):
+        grid, timegrid = grid_and_nodes()
+        coeffs = field(lambda x, t: (1.0 + t) * np.eye(2), lambda x, t: t * x[0])
+        return ThetaStepper(coeffs, grid, timegrid).run(np.ones(grid.size), keep=True)
+
+    def test_forks_in_this_single_threaded_process(self, starts):
+        with forked():
+            self.march()
+        assert len(starts) == 2
+
+    def test_another_thread_keeps_the_march_serial(self, starts):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with forked():
+                got = self.march()
+        finally:
+            release.set()
+            thread.join()
+        assert starts == []
+        with serial():
+            assert got.tobytes() == self.march().tobytes()
+
+    def test_no_fork_outside_linux(self, starts):
+        with forked(), mock.patch.object(sys, "platform", "darwin"):
+            self.march()
+        assert starts == []
 
 
 def test_tiny_time_dependent_solve_starts_no_process(starts):
