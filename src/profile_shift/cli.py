@@ -15,17 +15,17 @@ import argparse
 import datetime
 import hashlib
 import json
-import multiprocessing
-import os
 import platform
 import sys
 import time
 from dataclasses import dataclass, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+from . import _forked
 from .errors import (
     CheckFailure,
     ConfigError,
@@ -502,7 +502,11 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
         }
         passed = passed and positivity.passed and mass_defect <= MASS_TOL
         tables.append((out / "normalized_trajectory.csv", result.normalized))
-    _write_trajectory_csvs(tables, config.slice_stride)
+    # Formatting holds the GIL, so threads would write one after another:
+    # _forked.run writes the CSVs after the first in forked children, which
+    # inherit their trajectories without a copy, where that is safe.
+    writes = [partial(_write_trajectory_csv, *table, config.slice_stride) for table in tables]
+    _forked.run(writes[0], writes[1:])
     return report, passed, [path for path, _ in tables]
 
 
@@ -679,48 +683,6 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     return report, all(c["passed"] for c in checks), []
 
 
-def _write_trajectory_csvs(tables, stride: int):
-    """Write every (path, trajectory) pair of ``tables`` by _write_trajectory_csv, at once.
-
-    Formatting holds the GIL, so threads would run one after another: each
-    pair after the first is written by a child made by os.fork (POSIX only),
-    which inherits its trajectory without a copy, while this process writes
-    the first.  Every child is joined before this returns or raises; a child
-    that failed raises OSError naming its file, with the errno it exited
-    with when there is one (an exit code above 1).
-    """
-    (path, trajectory), *rest = tables
-    children = []
-    try:
-        for child_path, child_trajectory in rest:
-            child = multiprocessing.get_context("fork").Process(
-                target=_write_in_child, args=(child_path, child_trajectory, stride)
-            )
-            child.start()
-            children.append((child_path, child))
-        _write_trajectory_csv(path, trajectory, stride)
-    finally:
-        for _, child in children:
-            child.join()
-    for child_path, child in children:
-        code = child.exitcode
-        if code > 1:  # the errno of the OSError that ended _write_in_child
-            raise OSError(code, os.strerror(code), str(child_path))
-        if code != 0:
-            raise OSError(f"writing {child_path} failed (child exit code {code})")
-
-
-def _write_in_child(path: Path, trajectory: Trajectory, stride: int):
-    """_write_trajectory_csv in a forked child, which exits with the errno of an OSError.
-
-    The parent reports the failure, so the child prints no traceback.
-    """
-    try:
-        _write_trajectory_csv(path, trajectory, stride)
-    except OSError as exc:
-        sys.exit(exc.errno or 1)
-
-
 def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
     """Coordinates first, then one value column per retained time slice."""
     values = trajectory.values
@@ -816,6 +778,8 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f"--resolutions must be comma-separated integers: {args.resolutions!r}"
                 ) from exc
+            if not resolutions:
+                raise ValidationError(f"--resolutions names no resolution: {args.resolutions!r}")
         bundle = run(config, args.command, resolutions=resolutions, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,15 +19,14 @@ blocks, and every check is made column by column.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from . import _forked
 from .errors import InnerSolveFailure
 from .grid import Grid
 from .operators import CoefficientField, DiscreteGenerator, _from_bytes, _to_bytes, assemble
@@ -49,16 +48,6 @@ INNER_BACKWARD_ERROR = 16.0 * np.finfo(float).eps
 # N_t = 256) assembles in about 0.85 ms a node, so a child's half of a
 # march costs about 0.11 s.
 MIN_CHILD_SHARE_S = 0.05
-
-# How long this process waits for a forked child, counted from its start:
-# CHILD_PATIENCE times the child's share at the first node's cost, and at
-# least CHILD_MIN_WAIT_S.  A child that has not sent its share and exited
-# by then (deadlocked after the fork, say) is killed, and the march
-# assembles its share.  On the same machine, 812 children of the tests'
-# property run (the gate at 0, a few nodes each, under a loaded pytest
-# process) sent their share after 9 ms in the median and 0.18 s at most.
-CHILD_PATIENCE = 10.0
-CHILD_MIN_WAIT_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,7 @@ class TimeGrid:
 
     def index_of(self, s: float) -> int:
         """Index of the time-grid node at s; s must sit on the grid."""
-        k = int(round(s / self.dt))
+        k = round(s / self.dt) if abs(s) <= 2.0 * self.T else -1  # -1 for NaN and inf too
         if k < 0 or k > self.steps or abs(s - self.time(k)) > 1e-9 * max(self.T, 1.0):
             raise ValueError(f"time {s} does not coincide with a time-grid node")
         return k
@@ -280,17 +269,11 @@ class ThetaStepper:
 
         Time-dependent fields only.  The first such node is assembled here
         and timed.  When that time predicts that a child's share of the rest
-        costs at least MIN_CHILD_SHARE_S, and forking is known to be safe
-        (``_fork_is_safe``), the rest is split in order between this
-        process, which takes the first share, and children forked from it,
-        one process per available core at most.  Each child assembles its
-        share and sends the generators through a pipe; every child is
-        joined before this returns or raises, and one that has not finished
-        within CHILD_PATIENCE times its predicted time (CHILD_MIN_WAIT_S at
-        least) is killed.
-        Otherwise the march assembles the rest as it goes.  A child that
-        fails, dies or is killed leaves its share to the march, which
-        raises a callable's error as the serial march does.
+        costs at least MIN_CHILD_SHARE_S, the rest is split in order into
+        one share per process ``_forked.processes`` allows, and assembled
+        by ``_forked.run``: the first share here, the others in forked
+        children where that is safe.  Otherwise the march assembles the
+        rest as it goes.
         """
         if not self.coeffs.time_dependent:
             return
@@ -306,103 +289,25 @@ class ThetaStepper:
         self._generator(todo[0])
         cost = time.perf_counter() - began
         rest = todo[1:]
-        if not _fork_is_safe():
-            return
-        processes = min(_cores(), len(rest))
+        processes = min(_forked.processes(), len(rest))
         while processes > 1 and cost * len(rest) / processes < MIN_CHILD_SHARE_S:
             processes -= 1
         if processes > 1:
-            shares = [share.tolist() for share in np.array_split(rest, processes)]
-            self._assemble_forked(shares, cost)
+            own, *shares = [share.tolist() for share in np.array_split(rest, processes)]
+            _forked.run(
+                lambda: [self._generator(k) for k in own],
+                [partial(self._encode, share) for share in shares],
+                self._decode,
+            )
 
-    def _assemble_forked(self, shares: list[list[int]], cost: float) -> None:
-        """Assemble the first share of nodes here and each other share in a forked child.
+    def _encode(self, nodes: list[int]) -> list[tuple[int, bytes]]:
+        """(k, A_h(t_k) as ``operators._to_bytes`` encodes it) for each of ``nodes``."""
+        return [(k, _to_bytes(self._generator(k))) for k in nodes]
 
-        ``cost`` is the time one node took here, from which each child's
-        deadline is set.
-        """
-        context = multiprocessing.get_context("fork")
-        children = []
-        try:
-            for share in shares[1:]:
-                reader, writer = context.Pipe(duplex=False)
-                child = context.Process(target=_assemble_in_child, args=(self, share, writer))
-                patience = max(CHILD_PATIENCE * cost * len(share), CHILD_MIN_WAIT_S)
-                try:
-                    child.start()
-                except Exception:  # no process to spare, say: the march assembles this share
-                    reader.close()
-                    continue
-                finally:
-                    # Only the child may hold the write end, so that its
-                    # death ends the parent's read.
-                    writer.close()
-                children.append((child, reader, share, time.monotonic() + patience))
-            for node in shares[0]:
-                self._generator(node)
-            for child, reader, share, deadline in children:
-                received = _receive(reader, self, share, deadline)
-                child.join(max(0.0, deadline - time.monotonic()))
-                if received is not None and child.exitcode == 0:
-                    self._generators.update(received)
-        finally:
-            for child, reader, _, _ in children:
-                reader.close()
-                child.kill()  # does nothing to a child already joined
-                child.join()
-
-
-def _assemble_in_child(stepper: ThetaStepper, nodes: list[int], writer) -> None:
-    """Assemble A_h(t_k) for each of ``nodes`` in a forked child and send it through ``writer``.
-
-    The whole share is assembled first, as the parent reads only once its
-    own share is done; each generator is one message.  Any failure ends the
-    child with exit code 1 and no output; the parent's march assembles the
-    share again and raises the error itself.
-    """
-    try:
-        generators = [stepper._generator(k) for k in nodes]
-        for generator in generators:
-            writer.send_bytes(_to_bytes(generator))
-    except BaseException:
-        sys.exit(1)
-
-
-def _receive(reader, stepper: ThetaStepper, nodes: list[int], deadline: float):
-    """The generators a child sent for ``nodes``.
-
-    None if the child ended, or ``deadline`` passed, before it sent them all.
-    """
-    received = {}
-    try:
-        for k in nodes:
-            if not reader.poll(max(0.0, deadline - time.monotonic())):
-                return None
-            received[k] = _from_bytes(reader.recv_bytes(), stepper.grid, stepper.timegrid.time(k))
-    except (EOFError, OSError):
-        return None
-    return received
-
-
-def _fork_is_safe() -> bool:
-    """Whether this process may fork children that run Python without exec.
-
-    Only on Linux, outside a daemonic process (which may not have children)
-    and with no thread but the calling one: a lock that another thread
-    holds at the fork, native BLAS and OpenMP threads included, stays held
-    in the child.  macOS has fork, but forking without exec is unsafe there.
-    """
-    if not sys.platform.startswith("linux") or multiprocessing.current_process().daemon:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _cores() -> int:
-    """The number of cores this process may run on (Linux)."""
-    return len(os.sched_getaffinity(0))
+    def _decode(self, message: tuple[int, bytes]) -> None:
+        """Keep the generator that a message of ``_encode`` carries."""
+        k, payload = message
+        self._generators[k] = _from_bytes(payload, self.grid, self.timegrid.time(k))
 
 
 def _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper):

@@ -6,7 +6,8 @@ that of the serial path, and each step system is bit for bit what scipy's
 sparse arithmetic gives, including the entries it drops for being exactly
 0.  A child that fails, dies or hangs leaves its share to the parent, which
 raises a callable's error as the serial march does.  Forking is refused
-where it is not known to be safe.
+where it is not known to be safe.  The fork policy is that of
+``profile_shift._forked``, so its patch points serve here.
 """
 
 import contextlib
@@ -40,7 +41,7 @@ from profile_shift import (
     propagate,
     solve_profile_shift,
 )
-from profile_shift import propagator
+from profile_shift import _forked, propagator
 
 
 @contextlib.contextmanager
@@ -67,7 +68,7 @@ def starts():
 def gate(min_share_s, cores=3):
     """Set the fork gate and the count of available cores."""
     with mock.patch.object(propagator, "MIN_CHILD_SHARE_S", min_share_s), mock.patch.object(
-        propagator, "_cores", lambda: cores
+        _forked, "_cores", lambda: cores
     ):
         yield
 
@@ -247,7 +248,7 @@ class TestChildFailure:
         with serial():
             expected = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
         began = time.monotonic()
-        with forked(cores=2), mock.patch.object(propagator, "CHILD_MIN_WAIT_S", 0.2):
+        with forked(cores=2), mock.patch.object(_forked, "CHILD_MIN_WAIT_S", 0.2):
             got = ThetaStepper(coeffs, grid, timegrid).run(x, keep=True)
         assert time.monotonic() - began < 5.0
         assert len(starts) == 1

@@ -6,6 +6,10 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from profile_shift import (
     ThetaStepper,
     TimeGrid,
     ValidationError,
+    _forked,
     box2d,
     build_grid,
     dense_propagator,
@@ -33,6 +38,7 @@ from profile_shift.cli import (
 )
 from profile_shift.fredholm import DENSE_CAP, _dense_spectrum
 from profile_shift.validation import check_fixed_shift, check_random_shifts
+import profile_shift
 import profile_shift.cli as cli
 import profile_shift.fredholm as fredholm
 import profile_shift.operators as operators
@@ -78,12 +84,16 @@ def sequential_csvs(cfg, directory):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Record the file name of every CSV a forked writer is started for."""
+    """Record the file name of every CSV a forked writer is started for.
+
+    A child's work is ``functools.partial(_write_trajectory_csv, path, ...)``.
+    """
     started = []
     start = multiprocessing.context.ForkProcess.start
 
     def recorded(process):
-        started.append(process._args[0].name)
+        work, _ = process._args
+        started.append(work.args[0].name)
         start(process)
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded)
@@ -402,22 +412,78 @@ class TestSolveCommand:
         (other,) = {"trajectory.csv", "normalized_trajectory.csv"} - {blocked}
         assert (out / other).read_bytes() == (expected / other).read_bytes()
 
-    def test_child_error_without_errno_names_the_file(self, tmp_path, capfd, monkeypatch):
-        # exit code 1 carries no errno: the error names the file and the code
+    def test_childs_error_is_raised_by_this_process(self, tmp_path, capfd, forks, monkeypatch):
+        # a child that fails writes nothing back: this process writes its
+        # file again and raises the error of a write one after the other
         write = cli._write_trajectory_csv
 
         def failing(path, trajectory, stride):
             if path.name == "normalized_trajectory.csv":
-                raise OSError("no errno")
+                raise OSError(f"no errno, pid {os.getpid()}")
             write(path, trajectory, stride)
 
         monkeypatch.setattr(cli, "_write_trajectory_csv", failing)
+        cfg = config_from_dict(base_config(outputs={"directory": str(tmp_path / "out")}))
+        with pytest.raises(OSError, match=rf"^no errno, pid {os.getpid()}$"):
+            run(cfg, "solve", quiet=True)
+        assert forks == ["normalized_trajectory.csv"]
+        assert capfd.readouterr().err == ""
+
+    def test_daemonic_worker_writes_both_csvs(self, tmp_path):
+        # a multiprocessing.Pool worker may not have children: it writes the
+        # CSVs one after the other
+        out = tmp_path / "out"
+        path = write_config(tmp_path, outputs={"directory": str(out)})
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            code = pool.apply(main, (["solve", "--config", str(path), "--quiet"],))
+            pool.close()
+            pool.join()
+        assert code == 0
+        expected = sequential_csvs(parse_config(path), tmp_path / "expected")
+        for name in ("trajectory.csv", "normalized_trajectory.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    def test_csv_child_that_blocks_forever_is_killed_and_its_file_written_here(
+        self, tmp_path, forks, monkeypatch
+    ):
+        write = cli._write_trajectory_csv
+        parent = os.getpid()
+
+        def blocking(path, trajectory, stride):
+            if os.getpid() != parent:
+                threading.Event().wait()
+            write(path, trajectory, stride)
+
+        monkeypatch.setattr(cli, "_write_trajectory_csv", blocking)
+        monkeypatch.setattr(_forked, "CHILD_MIN_WAIT_S", 0.2)
         out = tmp_path / "out"
         cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
-        message = f"writing {out / 'normalized_trajectory.csv'} failed (child exit code 1)"
-        with pytest.raises(OSError, match=re.escape(message)):
-            run(cfg, "solve", quiet=True)
-        assert capfd.readouterr().err == ""
+        began = time.monotonic()
+        run(cfg, "solve", quiet=True)
+        assert time.monotonic() - began < 5.0
+        assert forks == ["normalized_trajectory.csv"]
+        expected = sequential_csvs(cfg, tmp_path / "expected")
+        for name in ("trajectory.csv", "normalized_trajectory.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    @pytest.mark.parametrize("where", ["start-raises", "not-linux"])
+    def test_csvs_are_written_here_where_no_child_starts(self, tmp_path, monkeypatch, where):
+        started = []
+
+        def start(process):
+            started.append(process)
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        if where == "not-linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        out = tmp_path / "out"
+        cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
+        run(cfg, "solve", quiet=True)
+        assert len(started) == (1 if where == "start-raises" else 0)
+        expected = sequential_csvs(cfg, tmp_path / "expected")
+        for name in ("trajectory.csv", "normalized_trajectory.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     def test_signed_gamma_starts_no_process(self, tmp_path, forks):
         out = tmp_path / "out"
@@ -482,6 +548,21 @@ class TestSolveCommand:
         path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")})
         assert main(["solve", "--config", str(path), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_python_m_profile_shift_runs_cleanly(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, outputs={"directory": str(out)})
+        source = os.path.dirname(os.path.dirname(profile_shift.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "profile_shift", "solve", "--config", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("solve: M=63 ")
+        assert (out / "normalized_trajectory.csv").exists()
 
 
 class TestEnvironment:
@@ -554,6 +635,14 @@ class TestExitCodes:
         path = write_config(tmp_path)
         code = main(["posedness", "--config", str(path), "--resolutions", "7,x"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["posedness", "convergence"])
+    def test_empty_resolutions_flag_is_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")})
+        assert main([command, "--config", str(path), "--resolutions", ","]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --resolutions names no resolution: ','\n"
+        )
 
     def test_no_convergence_is_3(self, tmp_path, capsys):
         # an eigenfunction shift would converge in one Krylov iteration even

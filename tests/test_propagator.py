@@ -48,10 +48,9 @@ class TestTimeGrid:
 
     def test_off_grid_time_rejected(self):
         tg = TimeGrid(T=1.0, steps=4)
-        with pytest.raises(ValueError):
-            tg.index_of(0.3)
-        with pytest.raises(ValueError):
-            tg.index_of(-0.25)
+        for s in (0.3, -0.25, np.nan, np.inf, -np.inf, 1e308):
+            with pytest.raises(ValueError, match="does not coincide with a time-grid node"):
+                tg.index_of(s)
 
 
 class TestStep:
