@@ -18,14 +18,14 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import _forked
+from . import __version__, _forked
 from .errors import (
     CheckFailure,
     ConfigError,
@@ -64,13 +64,6 @@ from .validation import (
     compare_posedness,
     convergence_study,
 )
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("profile-shift")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    VERSION = "unknown"
 
 COMMANDS = ("solve", "oracle", "spectrum", "posedness", "convergence", "validate")
 ORACLE_AGREEMENT_TOL = 1e-8
@@ -406,7 +399,7 @@ def run(config: ExperimentConfig, command: str, resolutions=None, quiet: bool = 
 
     metadata = {
         "package": "profile-shift",
-        "version": VERSION,
+        "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -475,10 +468,27 @@ def _solve(config: ExperimentConfig, shift: ProfileShift, stepper: ThetaStepper)
     )
 
 
+def _verify(shift_check: ShiftCheck, normalized: Trajectory | None) -> dict:
+    """The records of the checks on one answer, each with its ``passed``.
+
+    ``fixed_shift``, and for a normalized trajectory ``positivity`` and ``mass``
+    (against MASS_TOL); ``solve`` reports them and ``validate`` lists them as details.
+    """
+    records = {"fixed_shift": asdict(shift_check)}
+    if normalized is not None:
+        positivity = check_positivity(normalized)
+        defect = check_mass(normalized)
+        records["positivity"] = {**asdict(positivity), "passed": positivity.passed}
+        records["mass"] = {"defect": defect, "tol": MASS_TOL, "passed": defect <= MASS_TOL}
+    return records
+
+
 def _cmd_solve(config: ExperimentConfig, out: Path):
     stepper = ThetaStepper(config.coeffs, config.grid, config.timegrid, config.advection_mode)
     result = _solve(config, config.shift, stepper)
-    shift_check = check_fixed_shift(result.trajectory, config.shift.gamma, config.tol)
+    checks = _verify(
+        check_fixed_shift(result.trajectory, config.shift.gamma, config.tol), result.normalized
+    )
     report = {
         "M": config.grid.size,
         "m_matrix_certified": stepper.m_matrix_certified,
@@ -487,20 +497,11 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
         "residual_history": result.history,
         "relative_residual": result.relative_residual,
         "alpha": result.alpha,
-        "checks": {"fixed_shift": shift_check},
+        "checks": checks,
     }
-    passed = shift_check.passed
+    passed = all(record["passed"] for record in checks.values())
     tables = [(out / "trajectory.csv", result.trajectory)]
     if result.normalized is not None:
-        positivity = check_positivity(result.normalized)
-        mass_defect = check_mass(result.normalized)
-        report["checks"]["positivity"] = {**vars(positivity), "passed": positivity.passed}
-        report["checks"]["mass"] = {
-            "defect": mass_defect,
-            "tol": MASS_TOL,
-            "passed": mass_defect <= MASS_TOL,
-        }
-        passed = passed and positivity.passed and mass_defect <= MASS_TOL
         tables.append((out / "normalized_trajectory.csv", result.normalized))
     # Formatting holds the GIL, so threads would write one after another:
     # _forked.run writes the CSVs after the first in forked children, which
@@ -607,7 +608,8 @@ def _cmd_convergence(config: ExperimentConfig, out: Path, resolutions):
 
 def _cmd_validate(config: ExperimentConfig, out: Path):
     grid, coeffs, timegrid = config.grid, config.coeffs, config.timegrid
-    samples = [0.0, timegrid.T / 2.0, timegrid.T]
+    # A time-independent field is assembled at t_0 alone, for every step.
+    samples = [0.0, timegrid.T / 2.0, timegrid.T] if coeffs.time_dependent else [0.0]
     coefficient_check = validate_coefficients(coeffs, grid, samples)
     stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
     checks = [{"name": "coefficients", "passed": True, "detail": coefficient_check}]
@@ -630,32 +632,14 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
             zeta, 0.0, coeffs, grid, timegrid, config.advection_mode, stepper=stepper
         )
         shift_check = check_fixed_shift(trajectory, gamma, config.tol)
-    elif in_block:
-        shift_check = block.columns(0)
-    else:
-        shift_check = ShiftCheck(0.0, config.tol, True)
-    checks.append({
-        "name": "fixed_shift",
-        "passed": shift_check.passed,
-        "detail": {"residual": shift_check.residual, "tol": shift_check.tol},
-    })
-    if config.shift.nonneg:
         _, normalized = normalize(trajectory)
-        positivity = check_positivity(normalized)
-        mass_defect = check_mass(normalized)
-        checks.append({
-            "name": "positivity",
-            "passed": positivity.passed,
-            "detail": {
-                "min_value_global": positivity.min_value_global,
-                "violation_count": positivity.violation_count,
-            },
-        })
-        checks.append({
-            "name": "mass",
-            "passed": mass_defect <= MASS_TOL,
-            "detail": {"defect": mass_defect},
-        })
+    else:
+        shift_check = block.columns(0) if in_block else ShiftCheck(0.0, config.tol, True)
+        normalized = None
+    checks += [
+        {"name": name, "passed": record["passed"], "detail": record}
+        for name, record in _verify(shift_check, normalized).items()
+    ]
 
     random = slice(int(in_block), None)
     shifts = block.columns(random)
@@ -705,18 +689,13 @@ def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
 
 
 def _write_json(path: Path, obj):
-    """Write obj as indented JSON, the bytes of json.dumps(_jsonable(obj)).
+    """Write obj as indented JSON, refusing non-finite floats.
 
-    An object that is JSON-native already, such as the config echo of
-    metadata.json, is dumped as it is: walking its tables through _jsonable
-    cost as much as dumping them.  Anything else (numpy values, dataclasses,
-    non-finite floats) goes through _jsonable.
+    json calls _jsonable only on what it cannot encode, such as the numpy
+    tables of a config dict built in Python, so a JSON-native object, the
+    echo of a JSON config say, is dumped as it is without a walk.
     """
-    try:
-        text = json.dumps(obj, indent=2, allow_nan=False)
-    except (TypeError, ValueError):
-        text = json.dumps(_jsonable(obj), indent=2)
-    path.write_text(text + "\n")
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False, default=_jsonable) + "\n")
 
 
 def _sha256(path: Path) -> str:

@@ -148,16 +148,24 @@ class ThetaStepper:
         self.timegrid = timegrid
         self.advection_mode = advection_mode
         self._cache: dict[int, tuple] = {}
+        self._certified: dict[int, bool] = {}
         self._generators: dict[int, DiscreteGenerator] = {}
 
     @property
     def generator(self) -> DiscreteGenerator:
-        """A_h(t_0), the generator of the first step system."""
+        """A_h(t_0): every step's generator for a time-independent field.
+
+        A theta = 1 march of a time-dependent field never reads it.
+        """
         return self._generator(0)
 
     @property
     def m_matrix_certified(self) -> bool:
-        return self.generator.m_matrix_certified
+        """Whether every generator a march reads is a certified M-matrix; builds uncached steps."""
+        keys = range(self.timegrid.steps if self.coeffs.time_dependent else 1)
+        for k in keys:
+            self._step_system(k)
+        return all(self._certified[k] for k in keys)
 
     def _generator(self, k: int) -> DiscreteGenerator:
         """A_h(t_k), assembled once; node 0 serves every k for time-independent fields."""
@@ -178,7 +186,8 @@ class ThetaStepper:
         its 2-norm.  Both matrices are built from the generators' data by
         ``DiscreteGenerator.identity_plus``, bit for bit as scipy's sparse
         arithmetic would.  Only steps k - 1 and k read A_h(t_k), so step k
-        drops it, unless k = 0: ``generator`` reads A_h(t_0).
+        drops it, unless k = 0: ``generator`` reads A_h(t_0).  Whether every
+        generator the step reads is certified is kept for ``m_matrix_certified``.
         """
         key = k if self.coeffs.time_dependent else 0
         if key not in self._cache:
@@ -187,6 +196,8 @@ class ThetaStepper:
             if tg.theta != 1.0:
                 explicit = self._generator(key).identity_plus((1.0 - tg.theta) * tg.dt)
             implicit_csr = self._generator(key + 1).identity_plus(-(tg.theta * tg.dt))
+            read = (key + 1,) if explicit is None else (key, key + 1)
+            self._certified[key] = all(self._generator(n).m_matrix_certified for n in read)
             implicit = implicit_csr.tocsc()
             if key:
                 self._generators.pop(key, None)

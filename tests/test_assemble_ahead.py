@@ -10,6 +10,7 @@ where it is not known to be safe.  The fork policy is that of
 ``profile_shift._forked``, so its patch points serve here.
 """
 
+import ast
 import contextlib
 import math
 import multiprocessing.process
@@ -18,6 +19,7 @@ import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -305,6 +307,26 @@ class TestForkGate:
         with forked(), mock.patch.object(sys, "platform", "darwin"):
             self.march()
         assert starts == []
+
+
+def test_only_forked_imports_multiprocessing_or_forks():
+    # One fork policy: a module other than _forked that imported
+    # multiprocessing or called os.fork would start processes of its own.
+    # The scan reads the source, so it starts no process.
+    found = set()
+    for path in Path(_forked.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            if any(n.split(".")[0] == "multiprocessing" or n == "os.fork" for n in names):
+                found.add(path.name)
+    assert found == {"_forked.py"}
 
 
 def test_tiny_time_dependent_solve_starts_no_process(starts):

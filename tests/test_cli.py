@@ -165,21 +165,43 @@ class TestParseConfig:
         assert cli._jsonable(echoed) == echoed
 
     def test_json_bytes_are_those_of_jsonable(self, tmp_path):
-        # Native objects skip _jsonable; numpy values, dataclasses and
-        # non-finite floats take it.
+        # _jsonable maps numpy values, dataclasses and non-finite floats to
+        # JSON-native ones.  run hands _write_json the report through it;
+        # _write_json calls it only on what json cannot encode, and refuses
+        # non-finite floats.
         echo = config_from_dict(base_config()).to_dict()
         echo["gamma"] = {"table": np.linspace(0.0, 1.0, 63), "nonneg": np.bool_(True)}
+        assert cli._jsonable(echo)["gamma"] == {
+            "table": np.linspace(0.0, 1.0, 63).tolist(), "nonneg": True,
+        }
+        native = cli._jsonable({"z": np.arange(3.0), "n": np.int64(2), "t": (1, 2.5)})
+        assert native == {"z": [0.0, 1.0, 2.0], "n": 2, "t": [1, 2.5]}
+        assert type(native["n"]) is int
+        assert cli._jsonable(TimeGrid(T=1.0, steps=4)) == {"T": 1.0, "steps": 4, "theta": 1.0}
+        assert cli._jsonable({"rho": math.inf, "nan": math.nan}) == {"rho": "inf", "nan": "nan"}
+        path = tmp_path / "out.json"
         objects = [
             config_from_dict(base_config()).to_dict(), echo,
             {"z": np.arange(3.0), "n": np.int64(2), "t": (1, 2.5)}, TimeGrid(T=1.0, steps=4),
-            {"rho": math.inf},
         ]
-        path = tmp_path / "out.json"
         for obj in objects:
             cli._write_json(path, obj)
             assert path.read_text() == json.dumps(cli._jsonable(obj), indent=2) + "\n"
-        cli._write_json(path, echo)
-        assert json.loads(path.read_text())["gamma"]["table"] == np.linspace(0.0, 1.0, 63).tolist()
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"rho": math.inf})
+
+    def test_config_dict_with_numpy_tables_runs(self, tmp_path):
+        # config_from_dict takes numpy tables where JSON has lists; the
+        # metadata echo holds them and is written as lists.
+        out = tmp_path / "out"
+        data = base_config(
+            resolution=5, N_t=8, gamma={"table": [0.5, 1.0, 2.0, 1.0, 0.5]},
+            coefficients={"tabulated": {"a": np.ones((5, 1, 1)), "q": np.zeros(5)}},
+            outputs={"directory": str(out)},
+        )
+        assert run(config_from_dict(data), "solve", quiet=True).passed
+        echo = json.loads((out / "metadata.json").read_text())["config"]["coefficients"]
+        assert echo == {"tabulated": {"a": [[[1.0]]] * 5, "q": [0.0] * 5}}
 
     def test_theta_out_of_range(self, tmp_path):
         path = write_config(tmp_path, theta=0.3)
@@ -502,6 +524,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path), "--quiet"]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["package"] == "profile-shift"
+        assert meta["version"] == profile_shift.__version__
         assert meta["command"] == "solve"
         assert set(meta["files"]) == {
             "report.json", "trajectory.csv", "normalized_trajectory.csv"
@@ -943,13 +966,26 @@ class TestValidateCommand:
         fixed = checks["fixed_shift"]
         assert fixed["passed"] and fixed["detail"] == {
             "residual": check_fixed_shift(trajectory, gamma).residual, "tol": 1e-10,
+            "passed": True,
         }
         positivity = checks["positivity"]
         assert positivity["passed"] and positivity["detail"]["violation_count"] == 0
-        assert set(positivity["detail"]) == {"min_value_global", "violation_count"}
-        assert checks["mass"]["passed"] and checks["mass"]["detail"]["defect"] <= 1e-12
+        assert set(positivity["detail"]) == {
+            "min_value_global", "min_interior_positive_time", "violation_count",
+            "positivity_tol", "passed",
+        }
+        mass = checks["mass"]
+        assert mass["passed"] and mass["detail"]["defect"] <= mass["detail"]["tol"] == 1e-12
+        assert set(mass["detail"]) == {"defect", "tol", "passed"}
         # the block's marches, then one march of zeta for the trajectory
         assert len(marches) == gmres_spy["iterations"] + 2
+        # each detail is the record that solve reports for the same check
+        solve_out = tmp_path / "solve"
+        assert main(["solve", "--config", str(path), "--out", str(solve_out), "--quiet"]) == 0
+        solved = json.loads((solve_out / "report.json").read_text())["checks"]
+        for name in ("fixed_shift", "positivity", "mass"):
+            assert set(checks[name]["detail"]) == set(solved[name])
+            assert checks[name]["passed"] is checks[name]["detail"]["passed"]
 
     def test_positivity_violation_fails_with_exit_4(self, tmp_path):
         # one Crank-Nicolson step against a sharp indicator overshoots below zero
@@ -980,7 +1016,8 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path), "--quiet"]) == 0
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
         assert checks["fixed_shift"] == {
-            "name": "fixed_shift", "passed": True, "detail": {"residual": 0.0, "tol": 1e-10},
+            "name": "fixed_shift", "passed": True,
+            "detail": {"residual": 0.0, "tol": 1e-10, "passed": True},
         }
         assert "positivity" not in checks and "mass" not in checks
         assert checks["max_norm_contraction"]["detail"]["trials"] == 5

@@ -39,6 +39,7 @@ from profile_shift.fredholm import (
     _dense_spectrum,
     _gmres_identity_minus_q,
     _real_basis,
+    _shift_residual,
     _slow_modes,
     _slow_projector,
 )
@@ -251,6 +252,20 @@ class TestSolve:
             solve_profile_shift(
                 ProfileShift(np.ones(5)), heat(1), grid1d(31), TimeGrid(T=1.0, steps=4)
             )
+
+
+def test_shift_residual_per_column_absolute_for_a_zero_gamma(rng):
+    initial, terminal, gamma = (rng.standard_normal((9, 3)) for _ in range(3))
+    gamma[:, 1] = 0.0
+    got = _shift_residual(initial, terminal, gamma)
+    defect = initial - terminal - gamma
+    for j, scale in enumerate((np.linalg.norm(gamma[:, 0]), 1.0, np.linalg.norm(gamma[:, 2]))):
+        assert got[j] == pytest.approx(np.linalg.norm(defect[:, j]) / scale, rel=1e-15)
+        alone = _shift_residual(initial[:, j], terminal[:, j], gamma[:, j])
+        assert alone.shape == () and alone == pytest.approx(got[j], rel=1e-15)
+    assert _shift_residual(initial[:, 0], terminal[:, 0], gamma[:, 0]) == (
+        np.linalg.norm(defect[:, 0]) / np.linalg.norm(gamma[:, 0])
+    )
 
 
 class TestBlockGmres:

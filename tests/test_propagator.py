@@ -221,6 +221,32 @@ class TestApplyQ:
             qx = stepper.run(x)
             assert np.abs(qx).max() <= np.abs(x).max() * (1.0 + 1e-12)
 
+    def test_certification_covers_every_generator_a_march_reads(self, grid2d):
+        # A_h(t_0) is an M-matrix, but the mixed term 0.5 t breaks upwind's
+        # certificate from t_1 on, and a theta = 1 march reads only t_1 ... t_4.
+        grid = grid2d(7)
+        tg = TimeGrid(T=1.0, steps=4, theta=1.0)
+        coeffs = CoefficientField(
+            dimension=2,
+            a=lambda x, t: np.array([[1.0, 0.5 * t], [0.5 * t, 1.0]]),
+            f=lambda x, t: np.zeros(2),
+            q=lambda x, t: 0.0,
+            delta=0.5,
+            time_dependent=True,
+        )
+        certified = [
+            assemble(coeffs, grid, tg.time(k), "upwind").m_matrix_certified for k in range(5)
+        ]
+        assert certified == [True, False, False, False, False]
+        stepper = ThetaStepper(coeffs, grid, tg, "upwind")
+        assert stepper.generator.m_matrix_certified
+        assert not stepper.m_matrix_certified
+        fixed = CoefficientField(
+            dimension=2, a=lambda x, t: np.eye(2), f=lambda x, t: np.zeros(2),
+            q=lambda x, t: 0.0, delta=1.0, time_dependent=True,
+        )
+        assert ThetaStepper(fixed, grid, tg, "upwind").m_matrix_certified
+
     def test_positivity_preservation_when_certified(self, grid2d, rng):
         grid = grid2d(9)
         tg = TimeGrid(T=1.0, steps=16, theta=1.0)

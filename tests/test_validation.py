@@ -21,6 +21,7 @@ from profile_shift import (
     drift,
     heat,
     interval,
+    propagate,
     solve_profile_shift,
     spectral_analysis,
 )
@@ -54,6 +55,15 @@ class TestFixedShift:
         check = check_fixed_shift(zero, gamma, tol=1e-10)
         assert check.residual == pytest.approx(1.0)
         assert not check.passed
+
+    def test_zero_gamma_reports_the_absolute_defect(self, grid1d):
+        grid = grid1d(15)
+        tg = TimeGrid(T=1.0, steps=8)
+        heat_march = propagate(np.sin(grid.coordinates()[:, 0]), 0.0, heat(1), grid, tg)
+        defect = np.linalg.norm(heat_march.initial - heat_march.terminal)
+        check = check_fixed_shift(heat_march, np.zeros(15), tol=1e-10)
+        assert check.residual == defect
+        assert 1.0 < check.residual < 2.0 and not check.passed
 
     def test_analytic_trajectory(self, grid1d):
         # u = e^-t * zeta with zeta = gamma/(1 - e^-1) satisfies the identity
