@@ -56,6 +56,8 @@ from .operators import (
 )
 from .propagator import ThetaStepper, TimeGrid, Trajectory, propagate
 from .validation import (
+    CASES,
+    RESOLUTIONS,
     ShiftCheck,
     check_fixed_shift,
     check_mass,
@@ -371,7 +373,9 @@ class ResultBundle:
     out_dir: str
 
 
-def run(config: ExperimentConfig, command: str, resolutions=None, quiet: bool = False) -> ResultBundle:
+def run(
+    config: ExperimentConfig, command: str, resolutions=RESOLUTIONS, quiet: bool = False
+) -> ResultBundle:
     """Execute one command and write its artifacts under the output directory."""
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}; choose from {COMMANDS}")
@@ -561,8 +565,6 @@ def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
             "domain.mask: posedness sweeps rebuild the grid per resolution; "
             "a mask raster is bound to the config's resolution"
         )
-    if resolutions is None:
-        resolutions = (15, 31, 63)
     timegrid = config.timegrid
     posedness = compare_posedness(
         config.coeffs, config.grid.domain, timegrid.T, resolutions,
@@ -582,14 +584,15 @@ def _derive_case(config: ExperimentConfig) -> str:
             "convergence studies require the unmasked box (0, pi) per axis"
         )
     spec = config.coefficients
-    preset = spec.get("preset")
-    if preset == "heat":
-        return "heat1d" if domain.dimension == 1 else "heat2d"
-    if preset == "absorb" and domain.dimension == 1 and float(spec["rate"]) == 1.0:
-        return "heat1d-absorb"
+    key = (domain.dimension, spec.get("preset"), float(spec.get("rate", 0.0)))
+    for name, case in CASES.items():
+        # AnalyticCase.coefficients builds the absorb preset exactly when absorption > 0
+        preset = "absorb" if case.absorption > 0.0 else "heat"
+        if key == (case.dimension, preset, case.absorption):
+            return name
     raise UnknownCase(
-        "no closed form registered for this configuration; supported: "
-        "heat (1D/2D) and absorb with rate 1.0 (1D) on the (0, pi) box"
+        "no closed form registered for this configuration; registered: "
+        f"{', '.join(sorted(CASES))}"
     )
 
 
@@ -597,7 +600,7 @@ def _cmd_convergence(config: ExperimentConfig, out: Path, resolutions):
     case = _derive_case(config)
     study = convergence_study(
         case,
-        resolutions=resolutions if resolutions is not None else (15, 31, 63),
+        resolutions=resolutions,
         theta_temporal=config.timegrid.theta,
         T=config.timegrid.T,
     )
@@ -749,7 +752,7 @@ def main(argv=None) -> int:
         config = parse_config(args.config)
         if args.out is not None:
             config = replace(config, out_dir=args.out)
-        resolutions = None
+        resolutions = RESOLUTIONS
         if args.resolutions is not None:
             try:
                 resolutions = tuple(int(r) for r in args.resolutions.split(",") if r)

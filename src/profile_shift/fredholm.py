@@ -233,10 +233,10 @@ def _gmres_identity_minus_q(
     iteration marches its basis block V_j once, orthogonalizes (I - Q) V_j
     against the basis by two passes of block Gram-Schmidt and takes the next
     block from the QR of what is left, so every column gains a direction
-    per column of the block.  The small least-squares problem
-    min ||E_1 S_0 - H Y||_F in the block Hessenberg H is kept in QR form,
-    updated by one block rotation per iteration, which gives its residual
-    without solving it.  A rank-deficient block (repeated or dependent
+    per column of the block.  Both passes' coefficients and that QR's R fill
+    the block Hessenberg H, and each iteration solves min ||E_1 S_0 - H Y||_F
+    directly (LAPACK gelsy): its residual is the estimate, and the last Y
+    gives the cycle's update.  A rank-deficient block (repeated or dependent
     columns, M < k, a basis that fills R^M) leaves zero or rounding-level
     diagonal entries in the R factors, so H may be singular: Y is the
     minimum-norm least-squares solution, which raises nothing.  A cycle ends after ``restart``
@@ -314,32 +314,23 @@ def _gmres_identity_minus_q(
         length = min(restart, -(-m // p))
         basis = np.empty((m, (length + 1) * p), order="F")
         basis[:, :p] = first
-        # H = rotation @ [upper; 0] with rotation orthogonal, and
-        # rhs = rotation.T @ E_1 S_0, whose rows past upper's are the
-        # least-squares residual.
-        rotation, upper, rhs = np.eye(p), np.zeros((0, 0)), s0
+        hessenberg = np.zeros(((length + 1) * p, length * p))
+        start = np.zeros(((length + 1) * p, k))  # E_1 S_0
+        start[:p] = s0
         for j in range(length):
             lo, hi = j * p, (j + 1) * p
             w = identity_minus_q(basis[:, lo:hi])
-            coefficients = np.zeros((hi, p))
             for _ in range(2):
                 projection = basis[:, :hi].T @ w
                 w -= basis[:, :hi] @ projection
-                coefficients += projection
-            basis[:, hi:hi + p], below = np.linalg.qr(w)
-            column = rotation.T @ coefficients
-            q, r = np.linalg.qr(np.vstack([column[lo:], below]), mode="complete")
-            grown = np.eye(hi + p)
-            grown[:hi, :hi] = rotation
-            grown[:, lo:] = grown[:, lo:] @ q
-            rotation = grown
-            upper = np.block([[upper, column[:lo]], [np.zeros((p, lo)), r[:p]]])
-            rhs = np.vstack([rhs[:lo], q.T @ np.vstack([rhs[lo:], np.zeros((p, k))])])
-            estimate = float(np.linalg.norm(rhs[hi:]))
+                hessenberg[:hi, lo:hi] += projection
+            basis[:, hi:hi + p], hessenberg[hi:hi + p, lo:hi] = np.linalg.qr(w)
+            h, g = hessenberg[:hi + p, :hi], start[:hi + p]
+            y = scipy.linalg.lstsq(h, g, lapack_driver="gelsy", check_finite=False)[0]
+            estimate = float(np.linalg.norm(g - h @ y))
             history.append(estimate / float(norms.min()))
             if estimate <= bound:
                 break
-        y = np.linalg.lstsq(upper, rhs[:hi], rcond=None)[0]
         zeta = zeta + precondition(basis[:, :hi] @ y)
         marched, residual = verify(zeta)
         if marched is not None:

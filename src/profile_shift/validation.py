@@ -253,6 +253,14 @@ CASES = {
 }
 
 
+# convergence_study's fixed settings: the default spatial ladder (also the CLI's
+# posedness default), each rung's theta and steps, and every solve's tolerance.
+RESOLUTIONS = (15, 31, 63)
+THETA_SPATIAL = 0.5
+SPATIAL_STEPS = 512
+STUDY_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpatialRow:
     M: int
@@ -287,14 +295,11 @@ def _fit_order(scales, errors) -> float:
 
 def convergence_study(
     case_id: str,
-    resolutions=(15, 31, 63),
+    resolutions=RESOLUTIONS,
     time_steps=(8, 16, 32, 64),
-    theta_spatial: float = 0.5,
     theta_temporal: float = 1.0,
     T: float = 1.0,
-    spatial_steps: int = 512,
     temporal_resolution: int | None = None,
-    tol: float = 1e-12,
 ) -> ConvergenceStudy:
     """Error ladders against the closed-form solution of a registered case.
 
@@ -317,11 +322,11 @@ def convergence_study(
     spatial_rows = []
     for m in resolutions:
         grid = build_grid(domain, [int(m)] * case.dimension)
-        timegrid = TimeGrid(T=T, steps=spatial_steps, theta=theta_spatial)
+        timegrid = TimeGrid(T=T, steps=SPATIAL_STEPS, theta=THETA_SPATIAL)
         gamma = case.gamma_on(grid)
         report = solve_profile_shift(
             ProfileShift(gamma), coeffs, grid, timegrid,
-            advection_mode="centered", tol=tol,
+            advection_mode="centered", tol=STUDY_TOL,
         )
         zeta_exact = gamma / -np.expm1(-lam * T)
         u_term_exact = np.exp(-lam * T) * zeta_exact
@@ -348,7 +353,7 @@ def convergence_study(
         timegrid = TimeGrid(T=T, steps=int(steps), theta=theta_temporal)
         report = solve_profile_shift(
             ProfileShift(gamma), coeffs, grid, timegrid,
-            advection_mode="centered", tol=tol,
+            advection_mode="centered", tol=STUDY_TOL,
         )
         temporal_rows.append(
             TemporalRow(
@@ -365,7 +370,7 @@ def convergence_study(
         case=case_id,
         spatial=tuple(spatial_rows),
         spatial_order=spatial_order,
-        theta_spatial=theta_spatial,
+        theta_spatial=THETA_SPATIAL,
         temporal=tuple(temporal_rows),
         temporal_order=temporal_order,
         theta_temporal=theta_temporal,

@@ -18,6 +18,7 @@ from profile_shift import (
     ParseError,
     ThetaStepper,
     TimeGrid,
+    UnknownCase,
     ValidationError,
     _forked,
     box2d,
@@ -875,6 +876,31 @@ class TestConvergenceCommand:
             tmp_path, domain={"dimension": 1, "box": [[0.0, 1.0]]}
         )
         assert main(["convergence", "--config", str(path)]) == 2
+
+    BOX_2D = {"dimension": 2, "box": [[0.0, PI], [0.0, PI]]}
+
+    @pytest.mark.parametrize("overrides, case", [
+        ({}, "heat1d"),
+        ({"domain": BOX_2D, "resolution": [7, 7]}, "heat2d"),
+        ({"coefficients": {"preset": "absorb", "rate": 1.0}}, "heat1d-absorb"),
+        ({"domain": BOX_2D, "resolution": [7, 7],
+          "coefficients": {"preset": "absorb", "rate": 1.0}}, None),
+        ({"coefficients": {"preset": "absorb", "rate": 0.0}}, None),
+        ({"coefficients": {"preset": "absorb", "rate": 0.5}}, None),
+        ({"coefficients": {"preset": "drift", "velocity": [1.0]}}, None),
+        ({"domain": {**BOX_2D, "mask": [[1, 1, 1], [1, 0, 1], [1, 1, 1]]},
+          "resolution": [3, 3]}, None),
+        ({"domain": {"dimension": 1, "box": [[0.0, 1.0]]}}, None),
+    ], ids=["heat-1d", "heat-2d", "absorb-1d", "absorb-2d", "absorb-rate-0",
+            "absorb-rate-half", "drift", "masked", "off-box"])
+    def test_derive_case(self, overrides, case):
+        # The registry lookup alone, on parsed configs: nothing is solved.
+        config = config_from_dict(base_config(**overrides))
+        if case is None:
+            with pytest.raises(UnknownCase):
+                cli._derive_case(config)
+        else:
+            assert cli._derive_case(config) == case
 
 
 def march_shapes(monkeypatch):

@@ -10,6 +10,7 @@ right-hand sides.  A solve deflated by the slow modes of A_h takes no more
 iterations than its undeflated time-dependent twin, and both agree with the
 dense oracle.  Under backward Euler with a certified
 M-matrix, a nonnegative shift gives a nonnegative profile of unit mass.
+Within one GMRES cycle the least-squares estimate never increases.
 """
 
 from unittest import mock
@@ -261,3 +262,23 @@ def test_block_solve_is_linear(stepper, a, b, sign, seed):
     z1, z2, z3 = block_solve(stepper, np.column_stack([g1, g2, a * g1 + b * g2])).T
     scale = abs(a) * np.linalg.norm(z1) + b * np.linalg.norm(z2) + np.linalg.norm(z3)
     assert np.linalg.norm(z3 - (a * z1 + b * z2)) <= 10 * TOL * scale
+
+
+@given(
+    steppers(side=(24, 5), time_dependent=st.just(True), thetas=st.sampled_from([0.5, 1.0])),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_gmres_estimate_never_increases_in_a_cycle(stepper, k, seed):
+    # A time-dependent field takes no projector (M = I), and a restart of
+    # M >= ceil(M / k) iterations with one cycle allowed makes the solve a
+    # single cycle.  Its estimates are least-squares residuals over a
+    # growing search space, so none exceeds the one before.
+    block = np.random.default_rng(seed).standard_normal((stepper.grid.size, k))
+    zeta, history, _, deflated = _gmres_identity_minus_q(
+        stepper, block, tol=TOL, max_iter=1, restart=stepper.grid.size
+    )
+    assert deflated == 0
+    assert all(later <= earlier * (1.0 + 1e-12) for earlier, later in zip(history, history[1:]))
+    defect = zeta - stepper.run(zeta) - block
+    assert np.all(np.linalg.norm(defect, axis=0) <= TOL * np.linalg.norm(block, axis=0))
