@@ -54,7 +54,7 @@ from .operators import (
     tabulated,
     validate_coefficients,
 )
-from .propagator import ThetaStepper, TimeGrid, Trajectory, propagate
+from .propagator import ThetaStepper, TimeGrid, Trajectory
 from .validation import (
     CASES,
     RESOLUTIONS,
@@ -516,9 +516,9 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
 
 
 def _cmd_oracle(config: ExperimentConfig, out: Path):
-    grid, coeffs, timegrid = config.grid, config.coeffs, config.timegrid
-    stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
-    q = dense_propagator(coeffs, grid, timegrid, config.advection_mode, stepper=stepper)
+    grid = config.grid
+    stepper = ThetaStepper(config.coeffs, grid, config.timegrid, config.advection_mode)
+    q = dense_propagator(stepper)
     zeta_dense = np.linalg.solve(np.eye(grid.size) - q, config.shift.gamma)
     result = _solve(config, config.shift, stepper)
     denom = max(float(np.linalg.norm(zeta_dense)), 1e-30)
@@ -631,9 +631,7 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
         # positivity and mass are checked on a march of ||gamma|| z_0, so
         # fixed_shift reports that trajectory's own residual
         zeta = gamma_norm * block.zeta[:, 0]
-        trajectory = propagate(
-            zeta, 0.0, coeffs, grid, timegrid, config.advection_mode, stepper=stepper
-        )
+        trajectory = Trajectory(stepper.run(zeta, keep=True), grid, timegrid)
         shift_check = check_fixed_shift(trajectory, gamma, config.tol)
         _, normalized = normalize(trajectory)
     else:

@@ -161,7 +161,7 @@ def solve_profile_shift(
     finds an eigenvalue of Q within eps of 1; without a projector such a Q
     ends in NoConvergence.
     """
-    _check_tol(tol)
+    _check_settings(tol, max_iter, restart)
     gamma = shift.gamma
     if gamma.shape != (grid.size,):
         raise ValueError(
@@ -179,9 +179,7 @@ def solve_profile_shift(
             engine, gamma, tol=tol, max_iter=max_iter, restart=restart, keep=True
         )
 
-    trajectory = Trajectory(
-        marched, timegrid.time(np.arange(timegrid.steps + 1)), grid, timegrid
-    )
+    trajectory = Trajectory(marched, grid, timegrid)
     relative_residual = float(_shift_residual(trajectory.initial, trajectory.terminal, gamma))
     if relative_residual > tol:
         raise PostCheckFailure(
@@ -269,7 +267,7 @@ def _gmres_identity_minus_q(
     A NoConvergence names the largest relative residual ||r_j|| / ||g_j|| of
     the last cycle's march.
     """
-    _check_tol(tol)
+    _check_settings(tol, max_iter, restart)
     shape = gamma.shape
     columns = gamma.reshape(shape[0], -1)
     m, k = columns.shape
@@ -567,10 +565,17 @@ def _real_basis(vectors: np.ndarray) -> np.ndarray:
     return span @ (rotation[:, keep] / np.sqrt(gram[keep]))
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a tol outside (0, 1): from tol >= 1, zeta = 0 already meets the bound."""
+def _check_settings(tol: float, max_iter: int, restart: int) -> None:
+    """Refuse GMRES settings under which no solve can be returned.
+
+    From tol >= 1, zeta = 0 already meets the bound; a solve needs at least
+    one cycle, and a cycle at least one iteration.
+    """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    for name, value in (("max_iter", max_iter), ("restart", restart)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def normalize(trajectory: Trajectory) -> tuple[float, Trajectory]:
@@ -591,16 +596,10 @@ def normalize(trajectory: Trajectory) -> tuple[float, Trajectory]:
     return alpha, trajectory.scaled(alpha)
 
 
-def dense_propagator(
-    coeffs: CoefficientField,
-    grid: Grid,
-    timegrid: TimeGrid,
-    advection_mode: str = "upwind",
-    stepper: ThetaStepper | None = None,
-) -> np.ndarray:
-    """Assemble Q_h as a dense matrix from the iterative solver's stepping engine.
+def dense_propagator(stepper: ThetaStepper) -> np.ndarray:
+    """Assemble Q_h as a dense matrix from the stepper the iterative solver marches.
 
-    Pass ``stepper`` to share its factorizations.  For time-independent
+    It shares the stepper's factorizations.  For time-independent
     coefficients the identity is stepped once, in blocks of 64 columns, so
     every column of the one-step matrix S passes the same per-column check
     as a march; Q_h = S^N_t then follows by binary powering, about
@@ -609,16 +608,15 @@ def dense_propagator(
     S, so the identity is marched through all N_t steps in the same blocks.
     Refuses grids above DENSE_CAP nodes.
     """
-    m = grid.size
+    m = stepper.grid.size
     if m > DENSE_CAP:
         raise TooLarge(
             f"dense propagator needs {m}x{m} storage; cap is {DENSE_CAP} nodes"
         )
-    engine = _engine(coeffs, grid, timegrid, advection_mode, stepper)
-    if coeffs.time_dependent:
-        return _identity_images(engine.run, m)
-    step = _identity_images(lambda block: engine.step_values(block, 0), m)
-    return _power(step, timegrid.steps)
+    if stepper.coeffs.time_dependent:
+        return _identity_images(stepper.run, m)
+    step = _identity_images(lambda block: stepper.step_values(block, 0), m)
+    return _power(step, stepper.timegrid.steps)
 
 
 def _identity_images(apply, m: int) -> np.ndarray:
@@ -684,8 +682,7 @@ def spectral_analysis(stepper: ThetaStepper, q_matrix: np.ndarray | None = None)
         if (generator != generator.T).nnz == 0:
             return _generator_spectrum(generator, stepper.timegrid)
     if q_matrix is None:
-        problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
-        q_matrix = dense_propagator(*problem, stepper=stepper)
+        q_matrix = dense_propagator(stepper)
     return _dense_spectrum(q_matrix, m)
 
 

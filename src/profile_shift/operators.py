@@ -154,12 +154,14 @@ class CoefficientCheck:
 
 
 def _sample(coeffs: CoefficientField, grid: Grid, t: float):
-    """Coefficients at every interior node at time t: a (M, d, d), f (M, d), q (M,).
+    """Coefficients at every interior node at time t, and the ellipticity of a.
 
-    The only caller of the coefficient callables.  Raises ValidationError
-    for a non-finite value, NotSymmetric when |a - a^T| exceeds
-    1e-10 * (1 + max|a|) at a node, and NegativeAbsorption for q < 0, each
-    naming the first offending (x, t).
+    Returns a (M, d, d), f (M, d), q (M,) and lambda_min (M,), the smallest
+    eigenvalue of the symmetric part of a at each node.  The only caller of
+    the coefficient callables.  Raises ValidationError for a non-finite
+    value, NotSymmetric when |a - a^T| exceeds 1e-10 * (1 + max|a|) at a
+    node, NegativeAbsorption for q < 0 and NotElliptic for
+    lambda_min < delta, each naming the first offending (x, t).
     """
     coords = grid.coordinates()
     m, dim = coords.shape
@@ -177,7 +179,15 @@ def _sample(coeffs: CoefficientField, grid: Grid, t: float):
     if (q < 0).any():
         i = int(np.argmax(q < 0))
         raise NegativeAbsorption(f"q={q[i]:.6g} < 0 at x={coords[i]}, t={t}")
-    return a, f, q
+    lam_min = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(1, 2)))[:, 0]
+    below = lam_min < coeffs.delta
+    if below.any():
+        i = int(np.argmax(below))
+        raise NotElliptic(
+            f"smallest eigenvalue {lam_min[i]:.6g} of a at x={coords[i]}, t={t} is "
+            f"below delta={coeffs.delta}"
+        )
+    return a, f, q, lam_min
 
 
 def _require_finite(arrays, where) -> None:
@@ -209,7 +219,6 @@ def validate_coefficients(
     plus a warning when the diffusion field jumps strongly between adjacent
     nodes (large grid-level variation is allowed but worth flagging).
     """
-    coords = grid.coordinates()
     worst_sym = 0.0
     worst_margin = np.inf
     worst_q = np.inf
@@ -217,19 +226,10 @@ def validate_coefficients(
     a_first = None
 
     for t in time_samples:
-        a, _, q = _sample(coeffs, grid, t)
+        a, _, q, lam_min = _sample(coeffs, grid, t)
         worst_sym = max(worst_sym, float(_asymmetry(a).max()))
         a_scale = max(a_scale, float(np.abs(a).max()))
-        lam_min = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(1, 2)))[:, 0]
-        margin = lam_min - coeffs.delta
-        below = margin < 0
-        if below.any():
-            i = int(np.argmax(below))
-            raise NotElliptic(
-                f"smallest eigenvalue {lam_min[i]:.6g} of a at x={coords[i]}, t={t} is "
-                f"below delta={coeffs.delta}"
-            )
-        worst_margin = min(worst_margin, float(margin.min()))
+        worst_margin = min(worst_margin, float((lam_min - coeffs.delta).min()))
         worst_q = min(worst_q, float(q.min()))
         if a_first is None:
             a_first = a
@@ -430,15 +430,16 @@ def assemble(
 
     Couplings to nodes outside the interior (box boundary or masked-out
     cells) are dropped, which encodes the homogeneous Dirichlet condition.
-    Non-finite, asymmetric or negative-absorption coefficients raise the
-    errors listed in ``_sample``.  The grid keeps the sparsity pattern of
-    the last mixed-term mask (``_pattern``), so an assembly with that mask
-    fills only its data, which holds every stencil weight, zeros included.
+    Non-finite, asymmetric, negative-absorption or non-elliptic
+    coefficients raise the errors listed in ``_sample``.  The grid keeps the
+    sparsity pattern of the last mixed-term mask (``_pattern``), so an
+    assembly with that mask fills only its data, which holds every stencil
+    weight, zeros included.
     """
     if advection_mode not in ADVECTION_MODES:
         raise ValueError(f"advection_mode must be one of {ADVECTION_MODES}")
 
-    a, f, q = _sample(coeffs, grid, t)
+    a, f, q, _ = _sample(coeffs, grid, t)
     dim = grid.dimension
     # one weight per row for each entry of _COUPLINGS[dim]
     weights = []

@@ -1,9 +1,10 @@
 """Implicit theta-scheme realization of the solution operators.
 
-``propagate`` is the initial-value solve on [s, T] (the operator sending an
-initial profile to its whole trajectory, one (N_t+1, M) array) and
-``apply_Q`` is its restriction to the terminal vector, i.e. the time-T
-propagator whose fixed-point structure the Fredholm module inverts.
+``ThetaStepper.run`` marches initial data at t = 0 through every step of
+the time grid to T: it returns the terminal vector, which is the time-T
+propagator Q applied to the data and whose fixed-point structure the
+Fredholm module inverts, or with ``keep`` the whole trajectory, one
+(N_t+1, M) array.
 
 Each step solves
 
@@ -74,41 +75,33 @@ class TimeGrid:
         """Time of node k, or of each node in an integer array k."""
         return self.T * k / self.steps
 
-    def index_of(self, s: float) -> int:
-        """Index of the time-grid node at s; s must sit on the grid."""
-        k = round(s / self.dt) if abs(s) <= 2.0 * self.T else -1  # -1 for NaN and inf too
-        if k < 0 or k > self.steps or abs(s - self.time(k)) > 1e-9 * max(self.T, 1.0):
-            raise ValueError(f"time {s} does not coincide with a time-grid node")
-        return k
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Solution values at the time-grid nodes from the start time to T.
+    """Solution values at every time-grid node, from 0 to T.
 
-    ``values`` has shape (len(times), M): row j holds the interior values at
-    ``times[j]``, and ``times`` strictly ascend.  Both arrays are stored as
-    read-only views, so the rows handed out by ``initial``, ``terminal`` and
+    ``values`` has shape (N_t+1, M): row k holds the interior values at
+    ``times[k]``, the time of node k.  ``values`` is stored as a read-only
+    view, so the rows handed out by ``initial``, ``terminal`` and
     ``as_array`` cannot be written through.
     """
 
     values: np.ndarray
-    times: np.ndarray
     grid: Grid
     timegrid: TimeGrid
 
     def __post_init__(self):
-        for name in ("values", "times"):
-            view = np.asarray(getattr(self, name), dtype=float).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
-        if self.values.shape != (self.times.size, self.grid.size):
-            raise ValueError(
-                f"values must have shape ({self.times.size}, {self.grid.size}), "
-                f"got {self.values.shape}"
-            )
-        if not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must strictly ascend")
+        view = np.asarray(self.values, dtype=float).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "values", view)
+        shape = (self.timegrid.steps + 1, self.grid.size)
+        if self.values.shape != shape:
+            raise ValueError(f"values must have shape {shape}, got {self.values.shape}")
+
+    @property
+    def times(self) -> np.ndarray:
+        """The N_t+1 node times 0, dt, ..., T."""
+        return self.timegrid.time(np.arange(self.timegrid.steps + 1))
 
     @property
     def initial(self) -> np.ndarray:
@@ -119,11 +112,11 @@ class Trajectory:
         return self.values[-1]
 
     def as_array(self) -> np.ndarray:
-        """The values, shape (num_slices, M), without a copy."""
+        """The values, shape (N_t+1, M), without a copy."""
         return self.values
 
     def scaled(self, factor: float) -> "Trajectory":
-        return Trajectory(factor * self.values, self.times, self.grid, self.timegrid)
+        return Trajectory(factor * self.values, self.grid, self.timegrid)
 
 
 class ThetaStepper:
@@ -248,13 +241,13 @@ class ThetaStepper:
             f"refinement, above the bound {INNER_BACKWARD_ERROR:.3e}"
         )
 
-    def run(self, values: np.ndarray, start_index: int = 0, keep: bool = False):
-        """March a vector (M,) or a block (M, k) from time node start_index to T.
+    def run(self, values: np.ndarray, keep: bool = False):
+        """March a vector (M,) or a block (M, k) from t = 0 to T.
 
         Returns the terminal values, or with ``keep`` the values at every
-        node from start_index to T stacked along a new first axis.  A column
-        of a block march equals the march of that column alone up to the
-        rounding of SuperLU's multi-column BLAS calls: on 2D drift, heat and
+        node stacked along a new first axis.  A column of a block march
+        equals the march of that column alone up to the rounding of
+        SuperLU's multi-column BLAS calls: on 2D drift, heat and
         anisotropic grids every step solve tried at M = 2209 and M = 3969
         was bit for bit equal, while at M = 9025 and M = 16129 a few in a
         hundred differed, by at most 4.4e-16 on unit-sized data.
@@ -264,19 +257,21 @@ class ThetaStepper:
         for bit that of a serial march, and an error in a coefficient
         callable is raised here as the serial march raises it.
         """
-        self._assemble_ahead(start_index)
         v = np.asarray(values, dtype=float)
+        if v.shape[:1] != (self.grid.size,):
+            raise ValueError(f"values must have {self.grid.size} rows, got shape {v.shape}")
+        self._assemble_ahead()
         if keep:
-            kept = np.empty((self.timegrid.steps - start_index + 1,) + v.shape)
+            kept = np.empty((self.timegrid.steps + 1,) + v.shape)
             kept[0] = v
-        for k in range(start_index, self.timegrid.steps):
+        for k in range(self.timegrid.steps):
             v = self.step_values(v, k)
             if keep:
-                kept[k - start_index + 1] = v
+                kept[k + 1] = v
         return kept if keep else v
 
-    def _assemble_ahead(self, start: int) -> None:
-        """Assemble the time nodes a march from ``start`` reads for uncached steps.
+    def _assemble_ahead(self) -> None:
+        """Assemble the time nodes that a march reads for uncached steps.
 
         Time-dependent fields only.  The first such node is assembled here
         and timed.  When that time predicts that a child's share of the rest
@@ -291,7 +286,7 @@ class ThetaStepper:
         first = 1 if self.timegrid.theta == 1.0 else 0
         todo = sorted({
             node
-            for k in range(start, self.timegrid.steps) if k not in self._cache
+            for k in range(self.timegrid.steps) if k not in self._cache
             for node in range(k + first, k + 2) if node not in self._generators
         })
         if not todo:
@@ -321,15 +316,6 @@ class ThetaStepper:
         self._generators[k] = _from_bytes(payload, self.grid, self.timegrid.time(k))
 
 
-def _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper):
-    """Checked initial data, the start index of s and the stepper to march with."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (grid.size,):
-        raise ValueError(f"initial data must have length {grid.size}, got {xi.shape}")
-    k0 = timegrid.index_of(s)
-    return xi, k0, _engine(coeffs, grid, timegrid, advection_mode, stepper)
-
-
 def _engine(coeffs, grid, timegrid, advection_mode, stepper):
     """``stepper`` if it was built for this problem, or a new stepper when it is None.
 
@@ -349,42 +335,6 @@ def _engine(coeffs, grid, timegrid, advection_mode, stepper):
     if differ:
         raise ValueError(f"stepper was built for a different {', '.join(differ)}")
     return stepper
-
-
-def propagate(
-    xi,
-    s: float,
-    coeffs: CoefficientField,
-    grid: Grid,
-    timegrid: TimeGrid,
-    advection_mode: str = "upwind",
-    stepper: ThetaStepper | None = None,
-) -> Trajectory:
-    """Solve the initial-value problem on [s, T] with data xi at time s.
-
-    xi is the vector of interior values; ``s`` must coincide with a
-    time-grid node.  Returns the Trajectory over the nodes from s to T.
-    """
-    xi, k0, engine = _prepare(xi, s, coeffs, grid, timegrid, advection_mode, stepper)
-    return Trajectory(
-        engine.run(xi, start_index=k0, keep=True),
-        timegrid.time(np.arange(k0, timegrid.steps + 1)),
-        grid,
-        timegrid,
-    )
-
-
-def apply_Q(
-    xi,
-    coeffs: CoefficientField,
-    grid: Grid,
-    timegrid: TimeGrid,
-    advection_mode: str = "upwind",
-    stepper: ThetaStepper | None = None,
-) -> np.ndarray:
-    """Apply the time-T propagator: xi at t=0 to the solution vector at t=T."""
-    xi, k0, engine = _prepare(xi, 0.0, coeffs, grid, timegrid, advection_mode, stepper)
-    return engine.run(xi, start_index=k0)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import scipy.fft  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from profile_shift import box2d, build_grid, interval
@@ -56,15 +57,15 @@ def rng():
 
 @pytest.fixture
 def marches(monkeypatch):
-    """Record every ThetaStepper.run call by its start index."""
+    """Record every ThetaStepper.run call by whether it keeps every slice."""
     from profile_shift import ThetaStepper
 
     calls = []
     run = ThetaStepper.run
 
-    def counted(stepper, values, start_index=0, keep=False):
-        calls.append(start_index)
-        return run(stepper, values, start_index, keep)
+    def counted(stepper, values, keep=False):
+        calls.append(keep)
+        return run(stepper, values, keep=keep)
 
     monkeypatch.setattr(ThetaStepper, "run", counted)
     return calls
@@ -94,3 +95,37 @@ def gmres_spy(monkeypatch):
     for module in (fredholm, validation):
         monkeypatch.setattr(module, "_gmres_identity_minus_q", wrapped)
     return spy
+
+
+@pytest.fixture(scope="session")
+def sine_oracle():
+    """Factory for the exact discrete solution of (I - Q) zeta = gamma, and the eigenvalues mu of Q.
+
+    For ``absorb(rate)`` (``heat`` at rate 0) on an unmasked box, A_h is the
+    Kronecker sum of second differences minus the rate, and the orthonormal
+    type-I sine transform diagonalizes it: sine mode j of an axis with n
+    nodes has the eigenvalue -(4 / h^2) sin^2(j pi / (2 (n + 1))).  So
+    Q = m(A_h)^N_t has the eigenvalues mu = m(lambda)^N_t, with the
+    per-step multiplier m(lambda) = (1 + (1 - theta) dt lambda) /
+    (1 - theta dt lambda), and zeta = DST[DST[gamma] / (1 - mu)], the
+    transform being its own inverse.  ``gamma`` is a vector or a block of
+    columns; mu is flat, in the order of the transformed nodes.
+    """
+
+    def solve(grid, timegrid, rate, gamma):
+        lam = -rate
+        for axis, (n, h) in enumerate(zip(grid.shape, grid.h)):
+            per_axis = -(4.0 / h**2) * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+            lam = np.add.outer(lam, per_axis) if axis else lam + per_axis
+        theta, dt = timegrid.theta, timegrid.dt
+        mu = ((1.0 + (1.0 - theta) * dt * lam) / (1.0 - theta * dt * lam)) ** timegrid.steps
+        columns = gamma.shape[1:]
+        axes = tuple(range(grid.dimension))
+        spectrum = scipy.fft.dstn(
+            gamma.reshape(grid.shape + columns), type=1, norm="ortho", axes=axes
+        )
+        gap = (1.0 - mu).reshape(mu.shape + (1,) * len(columns))
+        zeta = scipy.fft.dstn(spectrum / gap, type=1, norm="ortho", axes=axes)
+        return zeta.reshape(gamma.shape), mu.ravel()
+
+    return solve

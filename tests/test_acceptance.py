@@ -183,7 +183,7 @@ def test_criterion_7_oracle_equivalence():
     worst = 0.0
     for grid in (grid_1d(31), grid_2d(5)):
         coeffs = heat(grid.dimension)
-        q = dense_propagator(coeffs, grid, tg)
+        q = dense_propagator(ThetaStepper(coeffs, grid, tg))
         system = np.eye(grid.size) - q
         for _ in range(10):
             gamma = rng.standard_normal(grid.size)

@@ -18,6 +18,7 @@ from profile_shift import (
     ParseError,
     ThetaStepper,
     TimeGrid,
+    Trajectory,
     UnknownCase,
     ValidationError,
     _forked,
@@ -27,7 +28,7 @@ from profile_shift import (
     drift,
     heat,
     interval,
-    propagate,
+    normalize,
     solve_profile_shift,
 )
 from profile_shift.cli import (
@@ -379,9 +380,11 @@ class TestSolveCommand:
         # 49 rows span a partial block; 8 slices at stride 3 keep 0, 3, 6
         # and the forced final slice 7
         grid = build_grid(box2d(), [7, 7])
-        traj = propagate(
-            rng.standard_normal(grid.size), 0.0, heat(2), grid, TimeGrid(T=1.0, steps=7)
+        timegrid = TimeGrid(T=1.0, steps=7)
+        marched = ThetaStepper(heat(2), grid, timegrid).run(
+            rng.standard_normal(grid.size), keep=True
         )
+        traj = Trajectory(marched, grid, timegrid)
         path = tmp_path / "trajectory.csv"
         _write_trajectory_csv(path, traj, 3)
 
@@ -791,7 +794,7 @@ class TestSpectrumCommand:
         # double-precision SVD saturates near 1e16..1e19 while the generator
         # route resolves the true decades of decay
         config = parse_config(path)
-        q = dense_propagator(config.coeffs, config.grid, config.timegrid)
+        q = dense_propagator(ThetaStepper(config.coeffs, config.grid, config.timegrid))
         assert _dense_spectrum(q, config.grid.size).log10_cond_Q <= 20.0
         assert report["route"] == "generator"
         assert report["log10_cond_Q"] > 100.0
@@ -807,7 +810,7 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", str(path), "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
         config = parse_config(path)
-        q = dense_propagator(config.coeffs, config.grid, config.timegrid)
+        q = dense_propagator(ThetaStepper(config.coeffs, config.grid, config.timegrid))
         assert report["route"] == "dense"
         assert report["log10_cond_Q"] == _dense_spectrum(q, config.grid.size).log10_cond_Q
 
@@ -908,9 +911,9 @@ def march_shapes(monkeypatch):
     shapes = []
     run = ThetaStepper.run
 
-    def counted(stepper, values, start_index=0, keep=False):
+    def counted(stepper, values, keep=False):
         shapes.append(values.shape)
-        return run(stepper, values, start_index, keep)
+        return run(stepper, values, keep=keep)
 
     monkeypatch.setattr(ThetaStepper, "run", counted)
     return shapes
@@ -977,11 +980,11 @@ class TestValidateCommand:
     ):
         trajectories = []
 
-        def spy(*args, **kwargs):
-            trajectories.append(propagate(*args, **kwargs))
-            return trajectories[-1]
+        def spy(trajectory):
+            trajectories.append(trajectory)
+            return normalize(trajectory)
 
-        monkeypatch.setattr(cli, "propagate", spy)
+        monkeypatch.setattr(cli, "normalize", spy)
         out = tmp_path / "out"
         path = write_config(tmp_path, outputs={"directory": str(out)})
         assert main(["validate", "--config", str(path), "--quiet"]) == 0

@@ -16,7 +16,6 @@ from profile_shift import (
     TimeGrid,
     TooLarge,
     Trajectory,
-    apply_Q,
     anisotropic,
     box2d,
     build_grid,
@@ -26,7 +25,6 @@ from profile_shift import (
     heat,
     interval,
     normalize,
-    propagate,
     solve_profile_shift,
     spectral_analysis,
     tabulated,
@@ -157,7 +155,7 @@ class TestSolve:
     def test_matches_dense_direct_solve(self, grid1d, rng):
         grid = grid1d(31)
         tg = TimeGrid(T=1.0, steps=64)
-        q = dense_propagator(heat(1), grid, tg)
+        q = dense_propagator(ThetaStepper(heat(1), grid, tg))
         system = np.eye(31) - q
         for _ in range(5):
             gamma = rng.standard_normal(31)
@@ -170,7 +168,7 @@ class TestSolve:
         grid = grid1d(31)
         tg = TimeGrid(T=1.0, steps=64)
         coeffs = heat(1)
-        q = dense_propagator(coeffs, grid, tg)
+        q = dense_propagator(ThetaStepper(coeffs, grid, tg))
         opnorm = 1.0 / np.linalg.svd(np.eye(31) - q, compute_uv=False)[-1]
         stepper = ThetaStepper(coeffs, grid, tg)
         for _ in range(10):
@@ -246,6 +244,30 @@ class TestSolve:
                 solve_profile_shift(ProfileShift(shift), heat(1), grid, tg, tol=tol)
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
             check_random_shifts(ThetaStepper(heat(1), grid, tg), gamma[:, None], tol=tol)
+
+    @pytest.mark.parametrize(
+        "name, value", [("restart", 0), ("restart", -3), ("max_iter", 0), ("max_iter", -1)]
+    )
+    def test_cycle_settings_must_be_positive(self, grid1d, name, value):
+        # restart = 0 crashed on an unset local, restart < 0 in numpy, and
+        # max_iter = 0 ended in a NoConvergence advising to raise max_iter.
+        grid = grid1d(15)
+        tg = TimeGrid(T=1.0, steps=16)
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: np.array([[1.0 + t]]),
+            f=lambda x, t: np.array([np.sin(t)]),
+            q=lambda x, t: float(t),
+            delta=1.0,
+            time_dependent=True,
+        )
+        gamma = np.sin(grid.coordinates()[:, 0])
+        message = f"{name} must be at least 1, got {value}"
+        for shift in (gamma, np.zeros(15)):
+            with pytest.raises(ValueError, match=message):
+                solve_profile_shift(ProfileShift(shift), coeffs, grid, tg, **{name: value})
+        with pytest.raises(ValueError, match=message):
+            check_random_shifts(ThetaStepper(coeffs, grid, tg), gamma[:, None], **{name: value})
 
     def test_gamma_shape_checked(self, grid1d):
         with pytest.raises(ValueError):
@@ -596,7 +618,7 @@ class TestNormalize:
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=2)
         values = np.full(9, 1.0 / (9 * grid.cell_volume))  # unit mass already
-        traj = Trajectory(np.tile(values, (3, 1)), tg.time(np.arange(3)), grid, tg)
+        traj = Trajectory(np.tile(values, (3, 1)), grid, tg)
         alpha, p = normalize(traj)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         assert p.initial == pytest.approx(values)
@@ -604,7 +626,7 @@ class TestNormalize:
     def test_nonpositive_mass_rejected(self, grid1d):
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=1)
-        traj = Trajectory(-np.ones((2, 9)), [0.0, 1.0], grid, tg)
+        traj = Trajectory(-np.ones((2, 9)), grid, tg)
         with pytest.raises(NonpositiveMass):
             normalize(traj)
 
@@ -616,33 +638,35 @@ class TestNormalize:
             traj.initial[0] = 1.0
         assert traj.as_array() is traj.values
         assert np.array_equal(report.normalized.as_array(), report.alpha * traj.as_array())
-        tg = TimeGrid(T=1.0, steps=16, theta=0.5)
-        late = propagate(report.zeta, 0.5, heat(1), grid, tg, "centered")
-        assert late.values.shape == (9, 31)
-        assert np.array_equal(late.times, [tg.time(k) for k in range(8, 17)])
-        with pytest.raises(ValueError):
-            Trajectory(late.values[:, 1:], late.times, grid, tg)
+        # one slice per node of the time grid, from 0 to T
+        tg = traj.timegrid
+        assert traj.values.shape == (17, 31)
+        assert np.array_equal(traj.times, [tg.time(k) for k in range(17)])
+        for values in (traj.values[:, 1:], traj.values[1:]):
+            with pytest.raises(ValueError, match="must have shape"):
+                Trajectory(values, grid, tg)
 
 
 class TestDenseOracle:
     def test_scalar_propagator(self):
         grid = build_grid(interval(0.0, np.pi), [1])
-        q = dense_propagator(heat(1), grid, TimeGrid(T=1.0, steps=1))
+        q = dense_propagator(ThetaStepper(heat(1), grid, TimeGrid(T=1.0, steps=1)))
         assert q.shape == (1, 1)
         assert q[0, 0] == pytest.approx(SCALAR_BE, abs=1e-14)
 
     def test_zero_horizon_limit_is_identity(self, grid1d):
         grid = grid1d(9)
-        q = dense_propagator(heat(1), grid, TimeGrid(T=1e-9, steps=1))
+        q = dense_propagator(ThetaStepper(heat(1), grid, TimeGrid(T=1e-9, steps=1)))
         assert np.abs(q - np.eye(9)).max() <= 1e-6
 
     def test_columns_are_basis_images(self, grid1d):
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=8)
-        q = dense_propagator(heat(1), grid, tg)
+        stepper = ThetaStepper(heat(1), grid, tg)
+        q = dense_propagator(stepper)
         e3 = np.zeros(9)
         e3[3] = 1.0
-        assert q[:, 3] == pytest.approx(apply_Q(e3, heat(1), grid, tg))
+        assert q[:, 3] == pytest.approx(stepper.run(e3))
 
     def test_blocks_equal_single_column_marches(self, grid1d):
         # Time-dependent fields are marched; 130 = 64 + 64 + 2 columns, so
@@ -658,7 +682,7 @@ class TestDenseOracle:
             time_dependent=True,
         )
         stepper = ThetaStepper(coeffs, grid, tg, "centered")
-        q = dense_propagator(coeffs, grid, tg, "centered", stepper=stepper)
+        q = dense_propagator(stepper)
         expected = np.column_stack([stepper.run(e) for e in np.eye(grid.size)])
         assert np.array_equal(q, expected)
 
@@ -674,7 +698,9 @@ class TestDenseOracle:
 
         monkeypatch.setattr(ThetaStepper, "step_values", counted)
         grid = grid1d(130)
-        dense_propagator(drift([1.5], absorption=0.25), grid, TimeGrid(T=1.0, steps=16))
+        dense_propagator(
+            ThetaStepper(drift([1.5], absorption=0.25), grid, TimeGrid(T=1.0, steps=16))
+        )
         assert calls == [0, 0, 0]
 
     def test_peak_memory_is_three_matrices(self, grid2d):
@@ -683,20 +709,20 @@ class TestDenseOracle:
         tg = TimeGrid(T=1.0, steps=511, theta=0.5)
         tracemalloc.start()
         try:
-            dense_propagator(heat(2), grid, tg, "centered")
+            dense_propagator(ThetaStepper(heat(2), grid, tg, "centered"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 3.2 * grid.size**2 * 8
 
     def test_symmetric_for_pure_diffusion(self, grid1d):
-        q = dense_propagator(heat(1), grid1d(15), TimeGrid(T=1.0, steps=32))
+        q = dense_propagator(ThetaStepper(heat(1), grid1d(15), TimeGrid(T=1.0, steps=32)))
         assert np.abs(q - q.T).max() <= 1e-12 * np.abs(q).max()
 
     def test_size_cap(self):
         grid = build_grid(box2d(), [70, 70])
         with pytest.raises(TooLarge):
-            dense_propagator(heat(2), grid, TimeGrid(T=1.0, steps=1))
+            dense_propagator(ThetaStepper(heat(2), grid, TimeGrid(T=1.0, steps=1)))
 
 
 class TestSpectralAnalysis:
@@ -717,7 +743,7 @@ class TestSpectralAnalysis:
         # both routes.
         grid, coeffs = build_grid(interval(0.0, 2.0), [1]), heat(1)
         one_node = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=1, theta=0.5))
-        q = dense_propagator(coeffs, grid, one_node.timegrid, stepper=one_node)
+        q = dense_propagator(one_node)
         assert q.tolist() == [[0.0]]
         reports = (
             spectral_analysis(stepper, np.zeros((2, 2))),
@@ -736,7 +762,7 @@ class TestSpectralAnalysis:
         grid = grid1d(15)
         tg = TimeGrid(T=1.0, steps=512, theta=1.0)
         generator = spectral_analysis(ThetaStepper(heat(1), grid, tg))
-        dense = _dense_spectrum(dense_propagator(heat(1), grid, tg), grid.size)
+        dense = _dense_spectrum(dense_propagator(ThetaStepper(heat(1), grid, tg)), grid.size)
         assert (generator.route, dense.route) == ("generator", "dense")
         h = grid.h[0]
         lam1 = (4.0 / h**2) * np.sin(h / 2.0) ** 2
@@ -755,7 +781,7 @@ class TestSpectralAnalysis:
         # cannot see past ~19 digits, which is why the generator route exists
         grid = grid1d(15)
         tg = TimeGrid(T=1.0, steps=512, theta=1.0)
-        report = _dense_spectrum(dense_propagator(heat(1), grid, tg), grid.size)
+        report = _dense_spectrum(dense_propagator(ThetaStepper(heat(1), grid, tg)), grid.size)
         assert 15.0 <= report.log10_cond_Q <= 20.0
         assert spectral_analysis(ThetaStepper(heat(1), grid, tg)).log10_cond_Q >= 40.0
 
@@ -772,7 +798,8 @@ class TestSpectralAnalysis:
         grid = grid1d(7)
         tg = TimeGrid(T=1.0, steps=16, theta=1.0)
         report = spectral_analysis(ThetaStepper(coeffs, grid, tg, "centered"))
-        dense = _dense_spectrum(dense_propagator(coeffs, grid, tg, "centered"), grid.size)
+        stepper = ThetaStepper(coeffs, grid, tg, "centered")
+        dense = _dense_spectrum(dense_propagator(stepper), grid.size)
         assert report.route == "dense"
         assert report.log10_cond_Q == dense.log10_cond_Q
         assert report.spectral_radius == dense.spectral_radius
@@ -806,7 +833,7 @@ class TestStructuredSpectrum:
         assert report.route == "generator"
         log_mu = np.sort(np.log10(np.abs(report.eigenvalues)))
         dense = np.sort(np.log10(np.abs(
-            np.linalg.eigvals(dense_propagator(heat(1), grid, tg, "centered"))
+            np.linalg.eigvals(dense_propagator(ThetaStepper(heat(1), grid, tg, "centered")))
         )))
         assert log_mu == pytest.approx(dense, abs=1e-10)
 
@@ -836,5 +863,5 @@ class TestStructuredSpectrum:
         tg = TimeGrid(T=1.0, steps=32)
         report = spectral_analysis(ThetaStepper(drift([2.0]), grid, tg, "upwind"))
         assert report.route == "dense"
-        dense = np.linalg.eigvals(dense_propagator(drift([2.0]), grid, tg, "upwind"))
+        dense = np.linalg.eigvals(dense_propagator(ThetaStepper(drift([2.0]), grid, tg, "upwind")))
         assert np.array_equal(report.eigenvalues, dense)

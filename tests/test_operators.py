@@ -6,6 +6,8 @@ from profile_shift import (
     NegativeAbsorption,
     NotElliptic,
     NotSymmetric,
+    ProfileShift,
+    TimeGrid,
     ValidationError,
     absorb,
     anisotropic,
@@ -14,6 +16,7 @@ from profile_shift import (
     drift,
     heat,
     interval,
+    solve_profile_shift,
     tabulated,
     validate_coefficients,
 )
@@ -211,6 +214,36 @@ class TestAssemble:
         )
         with pytest.raises(ValidationError, match=r"coefficient a is not finite at x=.*t=0.25"):
             assemble(coeffs, grid1d(5), 0.25)
+
+    def test_ellipticity_below_delta_is_named_at_assembly(self, grid1d, grid2d):
+        # a = -1 against delta = 1 ended in NoConvergence after 6200
+        # iterations, and a = 1e-3 solved as if nothing were wrong.
+        grid = grid1d(31)
+        gamma = np.sin(grid.coordinates()[:, 0])
+        for a in (-1.0, 1e-3):
+            with pytest.raises(NotElliptic, match=f"smallest eigenvalue {a:.6g} of a at x="):
+                solve_profile_shift(
+                    ProfileShift(gamma), field([[a]], [0.0], 0.0, delta=1.0), grid,
+                    TimeGrid(T=1.0, steps=64),
+                )
+        # The first node and time where a falls below delta are named, and a
+        # equal to delta passes.
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: np.array([[1.0 - t if x[0] > 2.0 else 1.0]]),
+            f=lambda x, t: np.zeros(1),
+            q=lambda x, t: 0.0,
+            delta=0.5,
+            time_dependent=True,
+        )
+        assemble(coeffs, grid, 0.5)
+        with pytest.raises(NotElliptic, match=r"0\.25 of a at x=\[2\.06.*\], t=0\.75 is below"):
+            assemble(coeffs, grid, 0.75)
+        # In 2D the smallest eigenvalue of [[1, .9], [.9, 1]] is 0.1.
+        mixed = [[1.0, 0.9], [0.9, 1.0]]
+        assemble(field(mixed, [0.0, 0.0], 0.0, delta=0.05, dimension=2), grid2d(5), 0.0)
+        with pytest.raises(NotElliptic, match="below delta=0.2"):
+            assemble(field(mixed, [0.0, 0.0], 0.0, delta=0.2, dimension=2), grid2d(5), 0.0)
 
     def test_time_dependent_sampling(self, grid1d):
         grid = grid1d(5)

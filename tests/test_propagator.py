@@ -12,12 +12,9 @@ from profile_shift import (
     TimeGrid,
     Trajectory,
     absorb,
-    apply_Q,
     assemble,
-    dense_propagator,
     drift,
     heat,
-    propagate,
     solve_profile_shift,
 )
 import profile_shift.propagator as propagator
@@ -33,7 +30,6 @@ class TestTimeGrid:
         assert tg.dt == pytest.approx(0.25)
         assert tg.time(0) == 0.0
         assert tg.time(8) == pytest.approx(2.0)
-        assert tg.index_of(0.5) == 2
 
     def test_invalid_parameters(self):
         for T in (0.0, np.nan, np.inf):
@@ -46,24 +42,18 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, steps=4, theta=1.1)
 
-    def test_off_grid_time_rejected(self):
-        tg = TimeGrid(T=1.0, steps=4)
-        for s in (0.3, -0.25, np.nan, np.inf, -np.inf, 1e308):
-            with pytest.raises(ValueError, match="does not coincide with a time-grid node"):
-                tg.index_of(s)
-
 
 class TestStep:
     def test_zero_is_fixed_point(self, grid1d):
         grid = grid1d(9)
-        out = apply_Q(np.zeros(9), heat(1), grid, TimeGrid(T=0.1, steps=1, theta=1.0))
+        out = ThetaStepper(heat(1), grid, TimeGrid(T=0.1, steps=1, theta=1.0)).run(np.zeros(9))
         assert out.shape == (9,)
         assert out == pytest.approx(np.zeros(9))
 
     def test_scalar_backward_euler(self, grid1d):
         # one node on (0, pi): A_h = [-8/pi^2], so u+ = u / (1 + 8/pi^2)
         grid = grid1d(1)
-        out = apply_Q(np.ones(1), heat(1), grid, TimeGrid(T=1.0, steps=1, theta=1.0))
+        out = ThetaStepper(heat(1), grid, TimeGrid(T=1.0, steps=1, theta=1.0)).run(np.ones(1))
         assert out[0] == pytest.approx(SCALAR_BE, abs=1e-14)
 
     def test_eigenmode_multiplier(self, grid1d):
@@ -74,7 +64,7 @@ class TestStep:
         for k in (1, 3, 7):
             mode = np.sin(k * x)
             lam = (4.0 / h**2) * np.sin(k * h / 2.0) ** 2
-            out = apply_Q(mode, heat(1), grid, TimeGrid(T=dt, steps=1, theta=1.0))
+            out = ThetaStepper(heat(1), grid, TimeGrid(T=dt, steps=1, theta=1.0)).run(mode)
             assert out == pytest.approx(mode / (1.0 + dt * lam), abs=1e-12)
 
     def test_inner_refinement_gives_up_on_broken_solver(self):
@@ -122,28 +112,28 @@ class TestPropagate:
     def test_zero_initial_data(self, grid1d):
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=16)
-        traj = propagate(np.zeros(9), 0.0, heat(1), grid, tg)
-        assert traj.as_array() == pytest.approx(np.zeros((17, 9)))
+        marched = ThetaStepper(heat(1), grid, tg).run(np.zeros(9), keep=True)
+        assert marched == pytest.approx(np.zeros((17, 9)))
 
     def test_heat_decay_1d(self, grid1d):
         grid = grid1d(127)
         tg = TimeGrid(T=1.0, steps=512, theta=0.5)
         x = grid.coordinates()[:, 0]
-        traj = propagate(np.sin(x), 0.0, heat(1), grid, tg, advection_mode="centered")
-        assert np.max(np.abs(traj.terminal - EXP_M1 * np.sin(x))) <= 1e-3
+        terminal = ThetaStepper(heat(1), grid, tg, "centered").run(np.sin(x))
+        assert np.max(np.abs(terminal - EXP_M1 * np.sin(x))) <= 1e-3
 
     def test_heat_decay_2d(self, grid2d):
         grid = grid2d(31)
         tg = TimeGrid(T=1.0, steps=256, theta=0.5)
         coords = grid.coordinates()
         xi = np.sin(coords[:, 0]) * np.sin(coords[:, 1])
-        traj = propagate(xi, 0.0, heat(2), grid, tg, advection_mode="centered")
-        assert np.max(np.abs(traj.terminal - EXP_M2 * xi)) <= 1e-3
+        terminal = ThetaStepper(heat(2), grid, tg, "centered").run(xi)
+        assert np.max(np.abs(terminal - EXP_M2 * xi)) <= 1e-3
 
     def test_trajectory_structure(self, grid1d):
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=8)
-        traj = propagate(np.ones(9), 0.0, heat(1), grid, tg)
+        traj = Trajectory(ThetaStepper(heat(1), grid, tg).run(np.ones(9), keep=True), grid, tg)
         assert traj.values.shape == (9, 9)
         assert traj.times == pytest.approx(np.linspace(0.0, 1.0, 9))
         assert np.shares_memory(traj.initial, traj.values[0])
@@ -151,28 +141,19 @@ class TestPropagate:
         doubled = traj.scaled(2.0)
         assert doubled.terminal == pytest.approx(2.0 * traj.terminal)
 
-    def test_start_from_interior_node(self, grid1d):
-        grid = grid1d(9)
-        tg = TimeGrid(T=1.0, steps=8)
-        traj = propagate(np.ones(9), 0.5, heat(1), grid, tg)
-        assert len(traj.times) == 5
-        assert traj.times[0] == pytest.approx(0.5)
-        assert traj.times[-1] == pytest.approx(1.0)
-
-    def test_trajectory_times_must_ascend(self, grid1d):
-        grid = grid1d(3)
-        tg = TimeGrid(T=1.0, steps=2)
-        for times in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5]):
-            with pytest.raises(ValueError, match="strictly ascend"):
-                Trajectory(np.zeros((3, 3)), np.array(times), grid, tg)
-
     def test_rejects_bad_shape_and_time(self, grid1d):
+        # initial data of the wrong length, and a trajectory that does not
+        # hold one slice per node of the time grid
         grid = grid1d(9)
         tg = TimeGrid(T=1.0, steps=8)
-        with pytest.raises(ValueError):
-            propagate(np.zeros(7), 0.0, heat(1), grid, tg)
-        with pytest.raises(ValueError):
-            propagate(np.zeros(9), 0.3, heat(1), grid, tg)
+        stepper = ThetaStepper(heat(1), grid, tg)
+        for values in (np.zeros(7), np.zeros((7, 2)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="must have 9 rows"):
+                stepper.run(values)
+        marched = stepper.run(np.ones(9), keep=True)
+        for values in (marched[1:], marched[:, 1:]):
+            with pytest.raises(ValueError, match=r"must have shape \(9, 9\)"):
+                Trajectory(values, grid, tg)
 
     def test_semigroup_consistency(self, grid1d, rng):
         # time-independent coefficients: [0, T/2] then [T/2, T] with the
@@ -181,33 +162,29 @@ class TestPropagate:
         xi = rng.standard_normal(31)
         half = TimeGrid(T=0.5, steps=32)
         full = TimeGrid(T=1.0, steps=64)
-        mid = apply_Q(xi, heat(1), grid, half)
-        two_leg = apply_Q(mid, heat(1), grid, half)
-        one_leg = apply_Q(xi, heat(1), grid, full)
+        mid = ThetaStepper(heat(1), grid, half).run(xi)
+        two_leg = ThetaStepper(heat(1), grid, half).run(mid)
+        one_leg = ThetaStepper(heat(1), grid, full).run(xi)
         assert two_leg == pytest.approx(one_leg, abs=1e-12)
 
 
 class TestApplyQ:
     def test_zero(self, grid1d):
         grid = grid1d(9)
-        out = apply_Q(np.zeros(9), heat(1), grid, TimeGrid(T=1.0, steps=8))
+        out = ThetaStepper(heat(1), grid, TimeGrid(T=1.0, steps=8)).run(np.zeros(9))
         assert out.shape == (9,)
         assert out == pytest.approx(np.zeros(9))
 
     def test_linearity(self, grid1d, rng):
         grid = grid1d(31)
         tg = TimeGrid(T=1.0, steps=32)
-        coeffs = heat(1)
-        stepper = ThetaStepper(coeffs, grid, tg)
+        stepper = ThetaStepper(heat(1), grid, tg)
         for _ in range(5):
             x = rng.standard_normal(31)
             y = rng.standard_normal(31)
             a, b = rng.standard_normal(2)
-            lhs = apply_Q(a * x + b * y, coeffs, grid, tg, stepper=stepper)
-            rhs = (
-                a * apply_Q(x, coeffs, grid, tg, stepper=stepper)
-                + b * apply_Q(y, coeffs, grid, tg, stepper=stepper)
-            )
+            lhs = stepper.run(a * x + b * y)
+            rhs = a * stepper.run(x) + b * stepper.run(y)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
     def test_max_norm_contraction_when_certified(self, grid1d, rng):
@@ -258,30 +235,19 @@ class TestApplyQ:
             assert stepper.run(x).min() >= -1e-13
 
 
-# Each entry marches with a given stepper: (coeffs, grid, timegrid, mode, stepper).
-STEPPER_CALLS = {
-    "propagate": lambda c, g, tg, mode, s: propagate(np.ones(g.size), 0.0, c, g, tg, mode, s),
-    "apply_Q": lambda c, g, tg, mode, s: apply_Q(np.ones(g.size), c, g, tg, mode, s),
-    "solve_profile_shift": lambda c, g, tg, mode, s: solve_profile_shift(
-        ProfileShift(np.ones(g.size)), c, g, tg, mode, stepper=s
-    ),
-    "dense_propagator": lambda c, g, tg, mode, s: dense_propagator(c, g, tg, mode, s),
-}
-
-
 class TestForeignStepper:
-    @pytest.mark.parametrize("name", sorted(STEPPER_CALLS))
-    def test_stepper_for_another_problem_is_rejected(self, grid1d, name):
-        call = STEPPER_CALLS[name]
+    def test_stepper_for_another_problem_is_rejected(self, grid1d):
+        # solve_profile_shift takes the problem and, optionally, a stepper for it
         grid = grid1d(9)
         coeffs = heat(1)
         tg = TimeGrid(T=1.0, steps=8)
+        shift = ProfileShift(np.ones(grid.size))
         longer = ThetaStepper(coeffs, grid, TimeGrid(T=5.0, steps=8))
         with pytest.raises(ValueError, match="different timegrid"):
-            call(coeffs, grid, tg, "upwind", longer)
+            solve_profile_shift(shift, coeffs, grid, tg, "upwind", stepper=longer)
         other = ThetaStepper(absorb(3.0), grid, tg, "centered")
         with pytest.raises(ValueError, match="different coeffs, advection_mode"):
-            call(coeffs, grid, tg, "upwind", other)
+            solve_profile_shift(shift, coeffs, grid, tg, "upwind", stepper=other)
 
 
 class TestStepperCache:
@@ -332,7 +298,7 @@ class TestStepperCache:
             calls.clear()
             tg = TimeGrid(T=1.0, steps=8, theta=theta)
             stepper = ThetaStepper(coeffs, grid1d(5), tg)
-            apply_Q(np.ones(5), coeffs, stepper.grid, tg, stepper=stepper)
+            stepper.run(np.ones(5))
             assert sorted(calls) == pytest.approx([tg.time(k) for k in range(first, 9)])
             calls.clear()
             stepper.run(np.ones(5))

@@ -10,7 +10,10 @@ right-hand sides.  A solve deflated by the slow modes of A_h takes no more
 iterations than its undeflated time-dependent twin, and both agree with the
 dense oracle.  Under backward Euler with a certified
 M-matrix, a nonnegative shift gives a nonnegative profile of unit mass.
-Within one GMRES cycle the least-squares estimate never increases.
+Within one GMRES cycle the least-squares estimate never increases.  On an
+unmasked box with heat or absorption, where the sine transform gives the
+exact discrete solution at any size, a solve and a block solve agree with
+it to within what their tolerance allows.
 """
 
 from unittest import mock
@@ -27,18 +30,21 @@ from profile_shift import (
     ProfileShift,
     ThetaStepper,
     TimeGrid,
-    apply_Q,
+    absorb,
     build_grid,
     check_mass,
     check_positivity,
+    check_random_shifts,
     dense_propagator,
     solve_profile_shift,
 )
 from profile_shift import fredholm
 from profile_shift.cli import MASS_TOL, ORACLE_AGREEMENT_TOL
 from profile_shift.fredholm import _gmres_identity_minus_q
+from profile_shift.propagator import INNER_BACKWARD_ERROR
 
 TOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 def block_solve(stepper, block):
@@ -102,33 +108,29 @@ def steppers(
 
 @st.composite
 def marches(draw):
-    """(stepper, block, start index, keep)."""
+    """(stepper, block, keep)."""
     stepper = draw(steppers())
-    grid, timegrid = stepper.grid, stepper.timegrid
     width = draw(st.integers(1, 5))
     block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
-        (grid.size, width)
+        (stepper.grid.size, width)
     )
     block[:, draw(st.lists(st.booleans(), min_size=width, max_size=width))] = 0.0
-    start = draw(st.integers(0, timegrid.steps))
-    return stepper, block, start, draw(st.booleans())
+    return stepper, block, draw(st.booleans())
 
 
 @given(marches())
 def test_block_march_equals_column_marches(march):
-    stepper, block, start, keep = march
-    got = stepper.run(block, start_index=start, keep=keep)
-    columns = [stepper.run(column, start_index=start, keep=keep) for column in block.T]
-    slices = (stepper.timegrid.steps - start + 1,) if keep else ()
+    stepper, block, keep = march
+    got = stepper.run(block, keep=keep)
+    columns = [stepper.run(column, keep=keep) for column in block.T]
+    slices = (stepper.timegrid.steps + 1,) if keep else ()
     assert got.shape == slices + block.shape
     assert all(np.array_equal(got[..., j], column) for j, column in enumerate(columns))
 
 
 @given(steppers(side=(24, 5), time_dependent=st.just(False), steps=st.integers(1, 512)))
 def test_dense_propagator_equals_marched_identity(stepper):
-    q = dense_propagator(
-        stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode, stepper=stepper
-    )
+    q = dense_propagator(stepper)
     marched = stepper.run(np.eye(stepper.grid.size))
     # Strong decay can leave all of Q below the smallest normal number,
     # where neither route keeps relative precision.
@@ -145,9 +147,9 @@ def test_solution_satisfies_two_time_identity_and_matches_dense_oracle(stepper, 
     zeta = report.zeta
     # the trajectory is the march of zeta, bit for bit, whichever march it came from
     assert report.trajectory.values.tobytes() == stepper.run(zeta, keep=True).tobytes()
-    defect = zeta - apply_Q(zeta, *problem, stepper=stepper) - gamma
+    defect = zeta - stepper.run(zeta) - gamma
     assert np.linalg.norm(defect) <= tol * np.linalg.norm(gamma)
-    q = dense_propagator(*problem, stepper=stepper)
+    q = dense_propagator(stepper)
     expected = np.linalg.solve(np.eye(stepper.grid.size) - q, gamma)
     assert np.linalg.norm(zeta - expected) <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected)
 
@@ -184,7 +186,7 @@ def test_deflation_costs_no_iterations_and_keeps_the_answer(stepper, seed):
     assert deflated_marches <= plain_marches
     # Each zeta solves (I - Q) zeta = gamma to within TOL ||gamma||, so the
     # two differ by at most 2 TOL ||gamma|| ||(I - Q)^-1||.
-    q = dense_propagator(*problem, stepper=stepper)
+    q = dense_propagator(stepper)
     system = np.eye(stepper.grid.size) - q
     inverse_norm = 1.0 / np.linalg.svd(system, compute_uv=False)[-1]
     gap = np.linalg.norm(deflated.zeta - plain.zeta)
@@ -215,7 +217,7 @@ def test_nonnegative_shift_gives_nonnegative_unit_mass_profile(stepper, seed):
     # ||(I - Q)^-1||_inf ||r||_inf below zero: alpha times that once
     # normalized.  The march's own rounding, of order eps against TOL, is
     # left out.
-    q = dense_propagator(*problem, stepper=stepper)
+    q = dense_propagator(stepper)
     resolvent_norm = np.abs(np.linalg.inv(np.eye(stepper.grid.size) - q)).sum(axis=1).max()
     bound = report.alpha * resolvent_norm * TOL * np.linalg.norm(gamma)
     assert check_positivity(report.normalized, positivity_tol=bound).passed
@@ -231,7 +233,7 @@ def test_block_solve_meets_each_column_bound_and_matches_dense_oracle(stepper, k
     assert zeta.shape == gammas.shape
     defect = zeta - stepper.run(zeta) - gammas
     assert np.all(np.linalg.norm(defect, axis=0) <= TOL * np.linalg.norm(gammas, axis=0))
-    q = dense_propagator(*problem, stepper=stepper)
+    q = dense_propagator(stepper)
     expected = np.linalg.solve(np.eye(stepper.grid.size) - q, gammas)
     gap = np.linalg.norm(zeta - expected, axis=0)
     assert np.all(gap <= ORACLE_AGREEMENT_TOL * np.linalg.norm(expected, axis=0))
@@ -282,3 +284,40 @@ def test_gmres_estimate_never_increases_in_a_cycle(stepper, k, seed):
     assert all(later <= earlier * (1.0 + 1e-12) for earlier, later in zip(history, history[1:]))
     defect = zeta - stepper.run(zeta) - block
     assert np.all(np.linalg.norm(defect, axis=0) <= TOL * np.linalg.norm(block, axis=0))
+
+
+@given(
+    st.lists(st.integers(1, 63), min_size=1, max_size=2),
+    st.lists(st.floats(0.5, 4.0), min_size=2, max_size=2),
+    st.floats(0.0, 2.0),
+    st.floats(0.05, 2.0),
+    st.integers(1, 128),
+    st.sampled_from([0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_solves_match_the_sine_oracle(sine_oracle, shape, lengths, rate, T, steps, theta, seed):
+    domain = Domain(len(shape), tuple((0.0, length) for length in lengths[: len(shape)]))
+    grid = build_grid(domain, shape)
+    timegrid = TimeGrid(T, steps, theta)
+    stepper = ThetaStepper(absorb(rate, dimension=grid.dimension), grid, timegrid, "centered")
+    gammas = np.random.default_rng(seed).standard_normal((grid.size, 3))
+    unit = gammas / np.linalg.norm(gammas, axis=0)
+    exact, mu = sine_oracle(grid, timegrid, rate, np.column_stack([gammas[:, 0], unit]))
+    # Q is symmetric, so ||(I - Q)^-1|| = max_j 1 / |1 - mu_j|, and a zeta
+    # whose march leaves ||zeta - Q zeta - gamma|| <= TOL ||gamma|| lies
+    # within TOL ||gamma|| of it times that of the exact solution.  The
+    # march rounds too: each step solve passes the backward-error check,
+    # w bounds the norm of each step's two matrices, and S is a symmetric
+    # contraction, so a march errs by at most N_t (2 INNER_BACKWARD_ERROR +
+    # 6 eps) w ||zeta||; the oracle's transforms and powers, by less.
+    inverse_norm = np.max(1.0 / np.abs(1.0 - mu))
+    w = 1.0 + timegrid.dt * (sum(4.0 / h**2 for h in grid.h) + rate)
+    rounding = 2.0 * steps * (2.0 * INNER_BACKWARD_ERROR + 6.0 * EPS) * w
+    problem = (stepper.coeffs, grid, timegrid, stepper.advection_mode)
+    report = solve_profile_shift(ProfileShift(gammas[:, 0]), *problem, tol=TOL, stepper=stepper)
+    block = check_random_shifts(stepper, gammas, tol=TOL)
+    assert block.passed
+    zeta = np.column_stack([report.zeta, block.zeta])
+    gap = np.linalg.norm(zeta - exact, axis=0)
+    scale = np.linalg.norm(np.column_stack([gammas[:, 0], unit]), axis=0)
+    assert np.all(gap <= inverse_norm * (TOL * scale + rounding * np.linalg.norm(exact, axis=0)))

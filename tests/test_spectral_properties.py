@@ -116,8 +116,7 @@ def rounding_bound(stepper) -> float:
 def test_generator_route_matches_dense_route_on_the_same_q(stepper):
     report = spectral_analysis(stepper)
     assert report.route == "generator"
-    problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
-    dense = _dense_spectrum(dense_propagator(*problem, stepper=stepper), stepper.grid.size)
+    dense = _dense_spectrum(dense_propagator(stepper), stepper.grid.size)
     bound = rounding_bound(stepper)
     assert abs(report.spectral_radius - dense.spectral_radius) <= bound
     gaps = np.abs(1.0 - report.eigenvalues)
@@ -132,7 +131,7 @@ def test_generator_route_matches_dense_route_on_the_same_q(stepper):
 def test_drift_report_is_the_dense_spectrum(stepper):
     report = spectral_analysis(stepper)
     problem = (stepper.coeffs, stepper.grid, stepper.timegrid, stepper.advection_mode)
-    q = dense_propagator(*problem)
+    q = dense_propagator(ThetaStepper(*problem))
     # the eigvals and SVDs that spectral_analysis of a dense Q has always run
     eigs = np.linalg.eigvals(q)
     sing = scipy.linalg.svdvals(q)

@@ -21,10 +21,10 @@ from profile_shift import (
     drift,
     heat,
     interval,
-    propagate,
     solve_profile_shift,
     spectral_analysis,
 )
+from profile_shift import validation
 
 INV_GAP_1 = 1.5819767068693265  # 1 / (1 - e^-1)
 MASS_GAP = 2.163953413738653  # |2/(1 - e^-1) - 1|
@@ -34,7 +34,7 @@ EXP_M1 = 0.36787944117144233
 def hand_trajectory(grid, tg, profile):
     """Trajectory whose slice at t is exp(-t) * profile (first heat mode)."""
     times = tg.time(np.arange(tg.steps + 1))
-    return Trajectory(np.exp(-times)[:, None] * profile, times, grid, tg)
+    return Trajectory(np.exp(-times)[:, None] * profile, grid, tg)
 
 
 class TestFixedShift:
@@ -59,7 +59,8 @@ class TestFixedShift:
     def test_zero_gamma_reports_the_absolute_defect(self, grid1d):
         grid = grid1d(15)
         tg = TimeGrid(T=1.0, steps=8)
-        heat_march = propagate(np.sin(grid.coordinates()[:, 0]), 0.0, heat(1), grid, tg)
+        marched = ThetaStepper(heat(1), grid, tg).run(np.sin(grid.coordinates()[:, 0]), keep=True)
+        heat_march = Trajectory(marched, grid, tg)
         defect = np.linalg.norm(heat_march.initial - heat_march.terminal)
         check = check_fixed_shift(heat_march, np.zeros(15), tol=1e-10)
         assert check.residual == defect
@@ -127,7 +128,7 @@ class TestPositivity:
         values = np.ones(9)
         bad = values.copy()
         bad[4] = -1e-6
-        traj = Trajectory(np.stack([values, bad, values]), [0.0, 0.5, 1.0], grid, tg)
+        traj = Trajectory(np.stack([values, bad, values]), grid, tg)
         report = check_positivity(traj)
         assert report.violation_count >= 1
         assert not report.passed
@@ -141,7 +142,7 @@ class TestPositivity:
         grid = grid1d(5)
         tg = TimeGrid(T=1.0, steps=1)
         noisy = np.array([1.0, -1e-13, 1.0, 1.0, 1.0])
-        traj = Trajectory(np.stack([noisy, noisy]), [0.0, 1.0], grid, tg)
+        traj = Trajectory(np.stack([noisy, noisy]), grid, tg)
         assert check_positivity(traj).violation_count == 0
         assert check_positivity(traj, positivity_tol=1e-14).violation_count == 2
 
@@ -252,9 +253,9 @@ class TestPosedness:
         record = compare_posedness(
             coeffs, domain, 1.0, (7,), steps=16, theta=1.0, advection_mode="centered"
         ).records[0]
-        q = dense_propagator(
+        q = dense_propagator(ThetaStepper(
             coeffs, build_grid(domain, [7]), TimeGrid(T=1.0, steps=16, theta=1.0), "centered"
-        )
+        ))
         sing = np.linalg.svd(q, compute_uv=False)
         assert record.log10_cond_Q == pytest.approx(np.log10(sing[0] / sing[-1]), rel=1e-12)
         assert record.log10_cond_Q == pytest.approx(9.96, abs=0.01)
@@ -299,12 +300,12 @@ class TestConvergence:
         assert study.spatial_order >= 1.9
         assert 0.85 <= study.temporal_order <= 1.15
 
-    def test_single_node_error_equals_scalar_gap(self):
+    def test_single_node_error_equals_scalar_gap(self, monkeypatch):
         # hand-checkable: on one node the error is exactly the distance
         # between the discrete and semidiscrete scalar decay factors
-        study = convergence_study(
-            "heat1d", time_steps=(4, 8), temporal_resolution=1
-        )
+        monkeypatch.setattr(validation, "TIME_STEPS", (4, 8))
+        monkeypatch.setattr(validation, "TEMPORAL_RESOLUTION", {1: 1})
+        study = convergence_study("heat1d")
         lam = 8.0 / np.pi**2
         for row in study.temporal:
             mu = (1.0 + row.dt * lam) ** (-row.steps)
