@@ -56,7 +56,6 @@ from .operators import (
 )
 from .propagator import ThetaStepper, TimeGrid, Trajectory
 from .validation import (
-    CASES,
     RESOLUTIONS,
     ShiftCheck,
     check_fixed_shift,
@@ -65,6 +64,7 @@ from .validation import (
     check_random_shifts,
     compare_posedness,
     convergence_study,
+    match_case,
 )
 
 COMMANDS = ("solve", "oracle", "spectrum", "posedness", "convergence", "validate")
@@ -565,35 +565,22 @@ def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
             "domain.mask: posedness sweeps rebuild the grid per resolution; "
             "a mask raster is bound to the config's resolution"
         )
-    timegrid = config.timegrid
     posedness = compare_posedness(
-        config.coeffs, config.grid.domain, timegrid.T, resolutions,
-        steps=timegrid.steps, theta=timegrid.theta, advection_mode=config.advection_mode,
+        config.coeffs, config.grid.domain, config.timegrid, resolutions, config.advection_mode
     )
     return posedness, True, []
 
 
 def _derive_case(config: ExperimentConfig) -> str:
-    """Map a config onto a registered closed-form case, or refuse."""
-    domain = config.grid.domain
-    on_pi_box = all(
-        abs(lo) <= 1e-12 and abs(hi - np.pi) <= 1e-9 for lo, hi in domain.box
-    )
-    if not on_pi_box or domain.mask is not None:
-        raise UnknownCase(
-            "convergence studies require the unmasked box (0, pi) per axis"
-        )
+    """The registered closed form of a config: heat has absorption 0, absorb its rate."""
     spec = config.coefficients
-    key = (domain.dimension, spec.get("preset"), float(spec.get("rate", 0.0)))
-    for name, case in CASES.items():
-        # AnalyticCase.coefficients builds the absorb preset exactly when absorption > 0
-        preset = "absorb" if case.absorption > 0.0 else "heat"
-        if key == (case.dimension, preset, case.absorption):
-            return name
-    raise UnknownCase(
-        "no closed form registered for this configuration; registered: "
-        f"{', '.join(sorted(CASES))}"
-    )
+    absorption = {"heat": 0.0, "absorb": spec.get("rate")}.get(spec.get("preset"))
+    if absorption is None:
+        raise UnknownCase(
+            "no closed form registered for these coefficients; only the heat and "
+            "absorb presets have one"
+        )
+    return match_case(config.grid.domain, float(absorption))
 
 
 def _cmd_convergence(config: ExperimentConfig, out: Path, resolutions):

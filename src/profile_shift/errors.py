@@ -25,7 +25,7 @@ class ValidationError(ConfigError):
 
 
 class BadResolution(ConfigError):
-    """Requested fewer than one interior node along some axis."""
+    """Fewer than one interior node along some axis, or too few distinct rungs in a sweep."""
 
 
 class EmptyInterior(ConfigError):

@@ -161,10 +161,15 @@ def _sample(coeffs: CoefficientField, grid: Grid, t: float):
     the coefficient callables.  Raises ValidationError for a non-finite
     value, NotSymmetric when |a - a^T| exceeds 1e-10 * (1 + max|a|) at a
     node, NegativeAbsorption for q < 0 and NotElliptic for
-    lambda_min < delta, each naming the first offending (x, t).
+    lambda_min < delta, each naming the first offending (x, t), and
+    ValidationError for a field of another dimension than the grid.
     """
     coords = grid.coordinates()
     m, dim = coords.shape
+    if coeffs.dimension != dim:
+        raise ValidationError(
+            f"coefficient field is {coeffs.dimension}D but the grid is {dim}D"
+        )
     a = np.array([coeffs.a(x, t) for x in coords], dtype=float).reshape(m, dim, dim)
     f = np.array([coeffs.f(x, t) for x in coords], dtype=float).reshape(m, dim)
     q = np.array([coeffs.q(x, t) for x in coords], dtype=float).reshape(m)
@@ -398,26 +403,6 @@ def _generator(pattern: _Pattern, data: np.ndarray, t: float, certified: bool):
         certified,
         pattern,
     )
-
-
-def _to_bytes(generator: DiscreteGenerator) -> bytes:
-    """A generator as bytes: its certification flag, mixed-term mask and data.
-
-    ``_from_bytes`` rebuilds it on the same grid, bit for bit.
-    """
-    pattern = generator._pattern
-    return (
-        bytes([generator.m_matrix_certified])
-        + pattern.mixed.tobytes()
-        + generator.matrix.data.tobytes()
-    )
-
-
-def _from_bytes(payload: bytes, grid: Grid, t: float) -> DiscreteGenerator:
-    """The generator at time t on ``grid`` that ``_to_bytes`` turned into ``payload``."""
-    mixed = np.frombuffer(payload, dtype=bool, count=grid.size, offset=1)
-    data = np.frombuffer(payload, offset=1 + grid.size).copy()
-    return _generator(_pattern(grid, mixed), data, t, bool(payload[0]))
 
 
 def assemble(

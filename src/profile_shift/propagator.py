@@ -27,10 +27,10 @@ from functools import partial
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import _forked
+from . import _forked, operators
 from .errors import InnerSolveFailure
 from .grid import Grid
-from .operators import CoefficientField, DiscreteGenerator, _from_bytes, _to_bytes, assemble
+from .operators import CoefficientField, DiscreteGenerator, assemble
 
 # Bound on the normwise backward error of one implicit step solve, per
 # column.  SuperLU's step solves measure at most 0.26 eps on 200 random
@@ -306,14 +306,17 @@ class ThetaStepper:
                 self._decode,
             )
 
-    def _encode(self, nodes: list[int]) -> list[tuple[int, bytes]]:
-        """(k, A_h(t_k) as ``operators._to_bytes`` encodes it) for each of ``nodes``."""
-        return [(k, _to_bytes(self._generator(k))) for k in nodes]
+    def _encode(self, nodes: list[int]) -> list[tuple]:
+        """(k, data, mixed-term mask, certification) of A_h(t_k) for each of ``nodes``."""
+        generators = [(k, self._generator(k)) for k in nodes]
+        return [(k, g.matrix.data, g._pattern.mixed, g.m_matrix_certified) for k, g in generators]
 
-    def _decode(self, message: tuple[int, bytes]) -> None:
-        """Keep the generator that a message of ``_encode`` carries."""
-        k, payload = message
-        self._generators[k] = _from_bytes(payload, self.grid, self.timegrid.time(k))
+    def _decode(self, message: tuple) -> None:
+        """Keep the generator that a message of ``_encode`` carries, on this grid's pattern."""
+        k, data, mixed, certified = message
+        self._generators[k] = operators._generator(
+            operators._pattern(self.grid, mixed), data, self.timegrid.time(k), certified
+        )
 
 
 def _engine(coeffs, grid, timegrid, advection_mode, stepper):

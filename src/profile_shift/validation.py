@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownCase
+from .errors import BadResolution, UnknownCase
 from .fredholm import (
     ProfileShift,
     _gmres_identity_minus_q,
@@ -22,7 +22,7 @@ from .fredholm import (
     spectral_analysis,
 )
 from .grid import Domain, Grid, build_grid, interval, box2d
-from .operators import CoefficientField, absorb, heat
+from .operators import CoefficientField, absorb
 from .propagator import ThetaStepper, TimeGrid, Trajectory, _column_norms
 
 
@@ -164,16 +164,31 @@ class PosednessReport:
     slope_vs_M2: float
 
 
+def _ladder(resolutions, least: int) -> tuple[int, ...]:
+    """The distinct node counts of ``resolutions``, ascending.
+
+    The one reading of a sweep's resolution ladder: ``compare_posedness``
+    needs one rung and ``convergence_study`` two, since a fitted order
+    needs two distinct h.  Raises BadResolution for fewer than ``least``.
+    """
+    given = [int(m) for m in resolutions]
+    ladder = tuple(sorted(set(given)))
+    if len(ladder) < least:
+        raise BadResolution(
+            f"resolution ladder {given} has {len(ladder)} distinct node count(s); "
+            f"this sweep needs at least {least}"
+        )
+    return ladder
+
+
 def compare_posedness(
     coeffs: CoefficientField,
     domain: Domain,
-    T: float,
+    timegrid: TimeGrid,
     resolutions,
-    steps: int = 512,
-    theta: float = 1.0,
     advection_mode: str = "upwind",
 ) -> PosednessReport:
-    """Measure cond(I - Q_h) and cond(Q_h) across grid resolutions.
+    """Measure cond(I - Q_h) and cond(Q_h) across grid resolutions on one time grid.
 
     Each rung's values come from ``spectral_analysis``: from the eigenvalues
     of A_h when the generator is symmetric and does not depend on time (exact
@@ -181,12 +196,8 @@ def compare_posedness(
     singular values saturate near 1e19 and then understate cond(Q_h).  The
     backward problem is never solved, only measured.
     """
-    ms = sorted(set(int(m) for m in resolutions))
-    if len(ms) < 1:
-        raise ValueError("need at least one resolution")
-    timegrid = TimeGrid(T=T, steps=steps, theta=theta)
     records = []
-    for m in ms:
+    for m in _ladder(resolutions, 1):
         grid = build_grid(domain, [m] * domain.dimension)
         report = spectral_analysis(ThetaStepper(coeffs, grid, timegrid, advection_mode))
         records.append(
@@ -198,12 +209,9 @@ def compare_posedness(
                 route=report.route,
             )
         )
-    if len(records) >= 2:
-        m2 = np.array([r.M**2 for r in records], dtype=float)
-        lc = np.array([r.log10_cond_Q for r in records])
-        slope = float(np.polyfit(m2, lc, 1)[0])
-    else:
-        slope = float("nan")
+    m2 = np.array([r.M**2 for r in records], dtype=float)
+    lc = np.array([r.log10_cond_Q for r in records])
+    slope = float(np.polyfit(m2, lc, 1)[0]) if len(records) >= 2 else float("nan")
     return PosednessReport(records=tuple(records), slope_vs_M2=slope)
 
 
@@ -217,7 +225,6 @@ class AnalyticCase:
     with eigenvalue -discrete_lambda(h).
     """
 
-    name: str
     dimension: int
     absorption: float
 
@@ -225,15 +232,10 @@ class AnalyticCase:
         return interval(0.0, np.pi) if self.dimension == 1 else box2d((0.0, np.pi), (0.0, np.pi))
 
     def coefficients(self) -> CoefficientField:
-        if self.absorption > 0.0:
-            return absorb(self.absorption, dimension=self.dimension)
-        return heat(dimension=self.dimension)
+        return absorb(self.absorption, dimension=self.dimension)
 
     def gamma_on(self, grid: Grid) -> np.ndarray:
-        coords = grid.coordinates()
-        if self.dimension == 1:
-            return np.sin(coords[:, 0])
-        return np.sin(coords[:, 0]) * np.sin(coords[:, 1])
+        return np.prod(np.sin(grid.coordinates()), axis=1)
 
     def continuum_lambda(self) -> float:
         return float(self.dimension) + self.absorption
@@ -244,10 +246,29 @@ class AnalyticCase:
 
 
 CASES = {
-    "heat1d": AnalyticCase("heat1d", dimension=1, absorption=0.0),
-    "heat1d-absorb": AnalyticCase("heat1d-absorb", dimension=1, absorption=1.0),
-    "heat2d": AnalyticCase("heat2d", dimension=2, absorption=0.0),
+    "heat1d": AnalyticCase(dimension=1, absorption=0.0),
+    "heat1d-absorb": AnalyticCase(dimension=1, absorption=1.0),
+    "heat2d": AnalyticCase(dimension=2, absorption=0.0),
 }
+
+
+def match_case(domain: Domain, absorption: float) -> str:
+    """The key of the case in CASES whose closed form holds on ``domain``.
+
+    Every case lives on the unmasked box (0, pi) per axis, whose ends
+    ``domain`` must match to 1e-12 (lower) and 1e-9 (upper); a case matches
+    by its dimension and absorption rate.  Raises UnknownCase otherwise.
+    """
+    on_pi_box = all(abs(lo) <= 1e-12 and abs(hi - np.pi) <= 1e-9 for lo, hi in domain.box)
+    if not on_pi_box or domain.mask is not None:
+        raise UnknownCase("convergence studies require the unmasked box (0, pi) per axis")
+    for name, case in CASES.items():
+        if (case.dimension, case.absorption) == (domain.dimension, absorption):
+            return name
+    raise UnknownCase(
+        f"no closed form registered for dimension {domain.dimension} and absorption "
+        f"{absorption}; registered: {', '.join(sorted(CASES))}"
+    )
 
 
 # convergence_study's fixed settings: the default spatial ladder (also the CLI's
@@ -303,9 +324,11 @@ def convergence_study(
 
     Spatial ladder: refine h at many time steps and Crank-Nicolson, so the
     measured error is dominated by the O(h^2) stencil error against the
-    continuum solution.  Temporal ladder: refine dt on one fixed grid and
-    compare against the exact semidiscrete solution (discrete eigenvalue
-    in the exponential), isolating the O(dt^theta-order) time error.
+    continuum solution; its rungs are the distinct ``resolutions``,
+    ascending, and fewer than two raise BadResolution.  Temporal ladder:
+    refine dt on one fixed grid and compare against the exact semidiscrete
+    solution (discrete eigenvalue in the exponential), isolating the
+    O(dt^theta-order) time error.
     """
     if case_id not in CASES:
         raise UnknownCase(
@@ -318,8 +341,8 @@ def convergence_study(
     coeffs = case.coefficients()
 
     spatial_rows = []
-    for m in resolutions:
-        grid = build_grid(domain, [int(m)] * case.dimension)
+    for m in _ladder(resolutions, 2):
+        grid = build_grid(domain, [m] * case.dimension)
         timegrid = TimeGrid(T=T, steps=SPATIAL_STEPS, theta=THETA_SPATIAL)
         gamma = case.gamma_on(grid)
         report = solve_profile_shift(

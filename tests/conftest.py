@@ -1,13 +1,17 @@
 import multiprocessing
 import os
+import sys
 
 # BLAS and OpenMP default to one thread per core, and on a shared 2-core
 # machine those threads contend: `spectral_analysis` of a 127 x 127 matrix
-# took 0.96 s with the default OpenBLAS threads and 0.009 s with one.
-# This must run before numpy is first imported; a value already set in the
-# environment wins.
+# took 0.96 s with the default OpenBLAS threads and 0.009 s with one.  One
+# thread also lets the package fork (see `forkable`), so a value set in the
+# environment is overridden.  This works only before numpy is first
+# imported; pytest imports it earlier to resolve a -W filter that names a
+# numpy warning.
+NUMPY_BEFORE_PINNING = "numpy" in sys.modules
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
+    os.environ[_name] = "1"
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
@@ -28,6 +32,28 @@ def no_process_left_running():
     """Fail a test that leaves a child process running (solve forks a CSV writer)."""
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forkable(monkeypatch):
+    """Two cores for ``_forked``, in a process that it lets fork.
+
+    ``_forked.processes()`` forks only in a process with one thread, so a
+    test that expects a fork fails here first, naming the thread count and
+    its cause, when more threads run.
+    """
+    from profile_shift import _forked
+
+    threads = len(os.listdir("/proc/self/task"))
+    if threads > 1:
+        cause = (
+            "numpy was imported before conftest.py pinned BLAS to one thread (pytest "
+            "imports it for a -W filter that names a numpy warning)"
+            if NUMPY_BEFORE_PINNING
+            else "a thread left running by an earlier test or a native library"
+        )
+        pytest.fail(f"this process runs {threads} threads, so _forked forks nothing: {cause}")
+    monkeypatch.setattr(_forked, "_cores", lambda: 2)
 
 
 @pytest.fixture

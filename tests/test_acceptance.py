@@ -140,7 +140,9 @@ def test_criterion_4_positivity():
 
 def test_criterion_5_posedness_contrast():
     """cond(I-Q) <= 2 at every M while log10 cond(Q) >= 40 and growing."""
-    report = compare_posedness(heat(1), interval(0.0, np.pi), 1.0, (15, 31, 63))
+    report = compare_posedness(
+        heat(1), interval(0.0, np.pi), TimeGrid(T=1.0, steps=512), (15, 31, 63)
+    )
     conds = [r.cond_identity_minus_Q for r in report.records]
     logs = [r.log10_cond_Q for r in report.records]
     assert all(c <= 2.0 for c in conds)

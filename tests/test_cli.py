@@ -85,8 +85,8 @@ def sequential_csvs(cfg, directory):
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Record the file name of every CSV a forked writer is started for.
+def forks(monkeypatch, forkable):
+    """Record the file name of every CSV a forked writer is started for, on two cores.
 
     A child's work is ``functools.partial(_write_trajectory_csv, path, ...)``.
     """
@@ -493,7 +493,9 @@ class TestSolveCommand:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     @pytest.mark.parametrize("where", ["start-raises", "not-linux"])
-    def test_csvs_are_written_here_where_no_child_starts(self, tmp_path, monkeypatch, where):
+    def test_csvs_are_written_here_where_no_child_starts(
+        self, tmp_path, monkeypatch, forkable, where
+    ):
         started = []
 
         def start(process):
@@ -874,6 +876,21 @@ class TestConvergenceCommand:
         assert report["temporal_order"] >= 0.9
         assert report["temporal_order_threshold"] == 0.9
 
+    @pytest.mark.parametrize("resolutions", ["3", "15,15"], ids=["one", "duplicate"])
+    def test_ladder_of_fewer_than_two_distinct_resolutions_is_2(
+        self, tmp_path, capsys, resolutions
+    ):
+        # one grid fits no order: the sweep is refused before it solves
+        out = tmp_path / "out"
+        path = write_config(tmp_path, outputs={"directory": str(out)})
+        assert main(["convergence", "--config", str(path), "--resolutions", resolutions]) == 2
+        expected = [int(r) for r in resolutions.split(",")]
+        assert capsys.readouterr().err == (
+            f"config error: resolution ladder {expected} has 1 distinct node count(s); "
+            "this sweep needs at least 2\n"
+        )
+        assert not (out / "report.json").exists()
+
     def test_unregistered_case_is_2(self, tmp_path):
         path = write_config(
             tmp_path, domain={"dimension": 1, "box": [[0.0, 1.0]]}
@@ -888,14 +905,17 @@ class TestConvergenceCommand:
         ({"coefficients": {"preset": "absorb", "rate": 1.0}}, "heat1d-absorb"),
         ({"domain": BOX_2D, "resolution": [7, 7],
           "coefficients": {"preset": "absorb", "rate": 1.0}}, None),
-        ({"coefficients": {"preset": "absorb", "rate": 0.0}}, None),
+        # absorb at rate 0 is the heat field, so it has heat's closed form
+        ({"coefficients": {"preset": "absorb", "rate": 0.0}}, "heat1d"),
+        ({"domain": BOX_2D, "resolution": [7, 7],
+          "coefficients": {"preset": "absorb", "rate": 0.0}}, "heat2d"),
         ({"coefficients": {"preset": "absorb", "rate": 0.5}}, None),
         ({"coefficients": {"preset": "drift", "velocity": [1.0]}}, None),
         ({"domain": {**BOX_2D, "mask": [[1, 1, 1], [1, 0, 1], [1, 1, 1]]},
           "resolution": [3, 3]}, None),
         ({"domain": {"dimension": 1, "box": [[0.0, 1.0]]}}, None),
     ], ids=["heat-1d", "heat-2d", "absorb-1d", "absorb-2d", "absorb-rate-0",
-            "absorb-rate-half", "drift", "masked", "off-box"])
+            "absorb-rate-0-2d", "absorb-rate-half", "drift", "masked", "off-box"])
     def test_derive_case(self, overrides, case):
         # The registry lookup alone, on parsed configs: nothing is solved.
         config = config_from_dict(base_config(**overrides))

@@ -245,6 +245,19 @@ class TestAssemble:
         with pytest.raises(NotElliptic, match="below delta=0.2"):
             assemble(field(mixed, [0.0, 0.0], 0.0, delta=0.2, dimension=2), grid2d(5), 0.0)
 
+    def test_field_of_another_dimension_is_named(self, grid1d, grid2d):
+        # numpy's reshape raised "cannot reshape array of size 60 into shape
+        # (15,1,1)" for a 2D field on a 15-node 1D grid
+        grid = grid1d(15)
+        gamma = np.sin(grid.coordinates()[:, 0])
+        for coeffs in (heat(2), drift([1.0, 2.0])):
+            with pytest.raises(ValidationError, match="coefficient field is 2D but the grid is 1D"):
+                solve_profile_shift(ProfileShift(gamma), coeffs, grid, TimeGrid(T=1.0, steps=8))
+        with pytest.raises(ValidationError, match="coefficient field is 1D but the grid is 2D"):
+            assemble(heat(1), grid2d(5), 0.0)
+        with pytest.raises(ValidationError, match="coefficient field is 1D but the grid is 2D"):
+            validate_coefficients(heat(1), grid2d(5), [0.0])
+
     def test_time_dependent_sampling(self, grid1d):
         grid = grid1d(5)
         coeffs = CoefficientField(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from profile_shift import (
+    BadResolution,
     CoefficientField,
     ProfileShift,
     ThetaStepper,
@@ -208,7 +209,9 @@ class TestMass:
 
 class TestPosedness:
     def test_heat_ladder_contrast(self):
-        report = compare_posedness(heat(1), interval(0.0, np.pi), 1.0, (15, 31, 63))
+        report = compare_posedness(
+            heat(1), interval(0.0, np.pi), TimeGrid(T=1.0, steps=512), (15, 31, 63)
+        )
         ms = [r.M for r in report.records]
         assert ms == [15, 31, 63]
         conds = [r.cond_identity_minus_Q for r in report.records]
@@ -225,15 +228,16 @@ class TestPosedness:
 
     def test_records_name_their_route(self):
         domain = interval(0.0, np.pi)
-        heat_ladder = compare_posedness(heat(1), domain, 1.0, (7, 15), steps=32)
+        timegrid = TimeGrid(T=1.0, steps=32)
+        heat_ladder = compare_posedness(heat(1), domain, timegrid, (7, 15))
         assert [r.route for r in heat_ladder.records] == ["generator", "generator"]
-        drift_ladder = compare_posedness(drift([1.0]), domain, 1.0, (7, 15), steps=32)
+        drift_ladder = compare_posedness(drift([1.0]), domain, timegrid, (7, 15))
         assert [r.route for r in drift_ladder.records] == ["dense", "dense"]
 
     def test_small_horizon_degrades_forward_conditioning(self):
         domain = interval(0.0, np.pi)
-        long = compare_posedness(heat(1), domain, 1.0, (15,), steps=64)
-        short = compare_posedness(heat(1), domain, 0.1, (15,), steps=64)
+        long = compare_posedness(heat(1), domain, TimeGrid(T=1.0, steps=64), (15,))
+        short = compare_posedness(heat(1), domain, TimeGrid(T=0.1, steps=64), (15,))
         c_long = long.records[0].cond_identity_minus_Q
         c_short = short.records[0].cond_identity_minus_Q
         assert c_short > 5.0 * c_long
@@ -251,7 +255,7 @@ class TestPosedness:
         )
         domain = interval(0.0, np.pi)
         record = compare_posedness(
-            coeffs, domain, 1.0, (7,), steps=16, theta=1.0, advection_mode="centered"
+            coeffs, domain, TimeGrid(T=1.0, steps=16, theta=1.0), (7,), "centered"
         ).records[0]
         q = dense_propagator(ThetaStepper(
             coeffs, build_grid(domain, [7]), TimeGrid(T=1.0, steps=16, theta=1.0), "centered"
@@ -260,6 +264,15 @@ class TestPosedness:
         assert record.log10_cond_Q == pytest.approx(np.log10(sing[0] / sing[-1]), rel=1e-12)
         assert record.log10_cond_Q == pytest.approx(9.96, abs=0.01)
         assert np.log10(record.spectral_radius) == pytest.approx(-1.024, abs=1e-3)
+
+    def test_ladder_is_sorted_and_distinct(self):
+        domain, timegrid = interval(0.0, np.pi), TimeGrid(T=1.0, steps=32)
+        report = compare_posedness(heat(1), domain, timegrid, (15, 7, 15))
+        assert report == compare_posedness(heat(1), domain, timegrid, (7, 15))
+
+    def test_empty_ladder_is_a_bad_resolution(self):
+        with pytest.raises(BadResolution, match="needs at least 1"):
+            compare_posedness(heat(1), interval(0.0, np.pi), TimeGrid(T=1.0, steps=32), ())
 
     def test_absorption_shrinks_spectral_radius(self, grid1d):
         grid = grid1d(31)
@@ -275,6 +288,16 @@ class TestConvergence:
     def test_unknown_case(self):
         with pytest.raises(UnknownCase):
             convergence_study("nosuch")
+
+    @pytest.mark.parametrize("resolutions", [(15,), (15, 15)], ids=["one", "duplicate"])
+    def test_order_needs_two_distinct_resolutions(self, resolutions):
+        with pytest.raises(BadResolution, match="needs at least 2"):
+            convergence_study("heat1d", resolutions=resolutions)
+
+    def test_ladder_is_sorted_and_distinct(self):
+        study = convergence_study("heat1d", resolutions=(31, 15, 31))
+        assert study == convergence_study("heat1d", resolutions=(15, 31))
+        assert [r.M for r in study.spatial] == [15, 31]
 
     def test_heat1d_orders(self):
         study = convergence_study("heat1d")
