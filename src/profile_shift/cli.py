@@ -71,7 +71,6 @@ COMMANDS = ("solve", "oracle", "spectrum", "posedness", "convergence", "validate
 ORACLE_AGREEMENT_TOL = 1e-8
 MASS_TOL = 1e-12
 CSV_BLOCK_ROWS = 32  # trajectory CSV rows formatted per write
-HASH_CHUNK = 1 << 20  # bytes read per update when hashing an artifact
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
@@ -126,7 +125,10 @@ def _require(cond: bool, message: str):
 def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the range of a double
+        raise ValidationError(f"{field} must lie in the range of a double: {exc}") from exc
 
 
 def _as_int(value, field: str) -> int:
@@ -169,7 +171,7 @@ def _build(field: str, make, *args):
     """Return ``make(*args)``; its rejection becomes a ValidationError naming ``field``."""
     try:
         return make(*args)
-    except (ValueError, TypeError, ConfigError) as exc:
+    except (ValueError, TypeError, OverflowError, ConfigError) as exc:
         raise ValidationError(f"{field}: {exc}") from exc
 
 
@@ -186,6 +188,8 @@ def parse_config(path) -> ExperimentConfig:
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        raise ParseError(f"config {path} cannot be read as JSON: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -332,7 +336,7 @@ def _gamma(spec, grid: Grid) -> tuple[dict, ProfileShift]:
         _require(all(v >= 1 for v in ks), f"eigenfunction indices must be >= 1, got {ks}")
         gamma = np.ones(grid.size)
         for k, (lo, hi), x in zip(ks, grid.domain.box, coords.T):
-            gamma *= np.sin(k * np.pi * (x - lo) / (hi - lo))
+            gamma *= np.sin(_as_float(k, "gamma.eigenfunction") * np.pi * (x - lo) / (hi - lo))
     elif form == "indicator":
         ind = _object(spec["indicator"], "gamma.indicator", ("box", "value"), ("box",))
         bx = _intervals(ind["box"], "gamma.indicator.box")
@@ -391,17 +395,13 @@ def run(
         "convergence": _cmd_convergence,
         "validate": _cmd_validate,
     }[command]
-    if command in ("posedness", "convergence"):
-        report, passed, artifacts = handler(config, out, resolutions)
-    else:
-        report, passed, artifacts = handler(config, out)
+    sweep = (resolutions,) if command in ("posedness", "convergence") else ()
+    report, passed, artifacts = handler(config, out, *sweep)
 
     report = {"command": command, "passed": passed, **_jsonable(report)}
-    report_path = out / "report.json"
-    _write_json(report_path, report)
-    artifacts = [report_path] + artifacts
+    files = {"report.json": _write_json(out / "report.json", report, indent=2), **artifacts}
 
-    metadata = {
+    _write_json(out / "metadata.json", {
         "package": "profile-shift",
         "version": __version__,
         "python": platform.python_version(),
@@ -411,19 +411,14 @@ def run(
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
         "config": config.to_dict(),
-        "files": {p.name: _sha256(p) for p in artifacts},
-    }
-    _write_json(out / "metadata.json", metadata)
+        "files": files,
+    })
 
     if not quiet:
         print(_summary_line(command, report, passed))
         print(f"wrote {out}/report.json, {out}/metadata.json")
     return ResultBundle(
-        command=command,
-        passed=passed,
-        report=report,
-        files=metadata["files"],
-        out_dir=str(out),
+        command=command, passed=passed, report=report, files=files, out_dir=str(out)
     )
 
 
@@ -510,9 +505,10 @@ def _cmd_solve(config: ExperimentConfig, out: Path):
     # Formatting holds the GIL, so threads would write one after another:
     # _forked.run writes the CSVs after the first in forked children, which
     # inherit their trajectories without a copy, where that is safe.
-    writes = [partial(_write_trajectory_csv, *table, config.slice_stride) for table in tables]
-    _forked.run(writes[0], writes[1:])
-    return report, passed, [path for path, _ in tables]
+    writes = [partial(_csv_entry, *table, config.slice_stride) for table in tables]
+    files = {}
+    _forked.run(lambda: files.update(writes[0]()), writes[1:], lambda e: files.update([e]))
+    return report, passed, files
 
 
 def _cmd_oracle(config: ExperimentConfig, out: Path):
@@ -524,8 +520,9 @@ def _cmd_oracle(config: ExperimentConfig, out: Path):
     denom = max(float(np.linalg.norm(zeta_dense)), 1e-30)
     agreement = float(np.linalg.norm(result.zeta - zeta_dense)) / denom
     spectral = spectral_analysis(stepper, q)
-    q_path = out / "qmatrix.npy"
-    np.save(q_path, q)
+    with open(out / "qmatrix.npy", "wb") as fh:
+        q_file = _HashingFile(fh)
+        np.save(q_file, q)
     report = {
         "M": grid.size,
         "agreement": agreement,
@@ -534,7 +531,7 @@ def _cmd_oracle(config: ExperimentConfig, out: Path):
         "cond_identity_minus_Q": spectral.cond_identity_minus_Q,
         "spectral_radius": spectral.spectral_radius,
     }
-    return report, agreement <= ORACLE_AGREEMENT_TOL, [q_path]
+    return report, agreement <= ORACLE_AGREEMENT_TOL, {"qmatrix.npy": q_file.sha256.hexdigest()}
 
 
 def _cmd_spectrum(config: ExperimentConfig, out: Path):
@@ -551,7 +548,7 @@ def _cmd_spectrum(config: ExperimentConfig, out: Path):
             "imag": np.imag(spectral.eigenvalues),
         },
     }
-    return report, True, []
+    return report, True, {}
 
 
 def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
@@ -568,7 +565,7 @@ def _cmd_posedness(config: ExperimentConfig, out: Path, resolutions):
     posedness = compare_posedness(
         config.coeffs, config.grid.domain, config.timegrid, resolutions, config.advection_mode
     )
-    return posedness, True, []
+    return posedness, True, {}
 
 
 def _derive_case(config: ExperimentConfig) -> str:
@@ -593,7 +590,7 @@ def _cmd_convergence(config: ExperimentConfig, out: Path, resolutions):
     )
     expect_temporal = 1.8 if config.timegrid.theta <= 0.75 else 0.9
     passed = study.spatial_order >= 1.9 and study.temporal_order >= expect_temporal
-    return {**vars(study), "temporal_order_threshold": expect_temporal}, passed, []
+    return {**vars(study), "temporal_order_threshold": expect_temporal}, passed, {}
 
 
 def _cmd_validate(config: ExperimentConfig, out: Path):
@@ -652,11 +649,27 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
         "m_matrix_certified": stepper.m_matrix_certified,
         "checks": checks,
     }
-    return report, all(c["passed"] for c in checks), []
+    return report, all(c["passed"] for c in checks), {}
 
 
-def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
-    """Coordinates first, then one value column per retained time slice."""
+class _HashingFile:
+    """A binary file's ``write`` that hashes, in order, the bytes it writes."""
+
+    def __init__(self, fh):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.fh.write(data)
+
+
+def _csv_entry(path: Path, trajectory: Trajectory, stride: int) -> list:
+    """Write a trajectory CSV; its one message, the manifest entry (file name, digest)."""
+    return [(path.name, _write_trajectory_csv(path, trajectory, stride))]
+
+
+def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int) -> str:
+    """Coordinates first, then one value column per slice kept; the file's hex SHA-256."""
     values = trajectory.values
     keep = list(range(0, len(values), stride))
     if keep[-1] != len(values) - 1:
@@ -665,37 +678,29 @@ def _write_trajectory_csv(path: Path, trajectory: Trajectory, stride: int):
     header = list("xy"[: trajectory.grid.dimension]) + [
         f"{t:.17g}" for t in trajectory.times[keep]
     ]
-    # A block of rows is formatted by one format string; stacking the whole
-    # (M, slices) table at once would cost its size in memory again.
-    row_format = ",".join(["%.17g"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    # A block of rows is formatted to bytes by one format string; stacking
+    # the whole (M, slices) table at once would cost its size in memory again.
+    row_format = (",".join(["%.17g"] * len(header)) + "\r\n").encode()
+    with open(path, "wb") as fh:
+        out = _HashingFile(fh)
+        out.write((",".join(header) + "\r\n").encode())
         for lo in range(0, trajectory.grid.size, CSV_BLOCK_ROWS):
             hi = lo + CSV_BLOCK_ROWS
             block = np.column_stack([coords[lo:hi], values[keep, lo:hi].T])
-            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+            out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+    return out.sha256.hexdigest()
 
 
-def _write_json(path: Path, obj):
-    """Write obj as indented JSON, refusing non-finite floats.
+def _write_json(path: Path, obj, indent: int | None = None) -> str:
+    """Write obj as one line of JSON, or indented by ``indent``; the file's hex SHA-256.
 
-    json calls _jsonable only on what it cannot encode, such as the numpy
-    tables of a config dict built in Python, so a JSON-native object, the
-    echo of a JSON config say, is dumped as it is without a walk.
+    Non-finite floats are refused.  json calls _jsonable only on what it
+    cannot encode, the numpy tables of a config built in Python say, so a
+    JSON-native object is dumped without a walk; unindented, by json's C encoder.
     """
-    path.write_text(json.dumps(obj, indent=2, allow_nan=False, default=_jsonable) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, read in chunks of HASH_CHUNK bytes.
-
-    A whole trajectory CSV read at once would set the run's peak memory.
-    """
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        while chunk := fh.read(HASH_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
+    data = (json.dumps(obj, indent=indent, allow_nan=False, default=_jsonable) + "\n").encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _jsonable(obj):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,11 +85,20 @@ def sequential_csvs(cfg, directory):
     return directory
 
 
+def assert_manifest_on_disk(bundle):
+    """metadata.json lists the bundle's files in order, each with the SHA-256 of its bytes."""
+    out = Path(bundle.out_dir)
+    meta = json.loads((out / "metadata.json").read_text())
+    assert list(meta["files"].items()) == list(bundle.files.items())
+    for name, digest in bundle.files.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.fixture
 def forks(monkeypatch, forkable):
     """Record the file name of every CSV a forked writer is started for, on two cores.
 
-    A child's work is ``functools.partial(_write_trajectory_csv, path, ...)``.
+    A child's work is ``functools.partial(_csv_entry, path, ...)``.
     """
     started = []
     start = multiprocessing.context.ForkProcess.start
@@ -166,14 +176,23 @@ class TestParseConfig:
         echoed = config_from_dict(data).to_dict()
         assert cli._jsonable(echoed) == echoed
 
-    def test_json_bytes_are_those_of_jsonable(self, tmp_path):
-        # _jsonable maps numpy values, dataclasses and non-finite floats to
-        # JSON-native ones.  run hands _write_json the report through it;
-        # _write_json calls it only on what json cannot encode, and refuses
-        # non-finite floats.
+    @staticmethod
+    def json_objects():
+        """A JSON-native echo, one with numpy tables, a numpy dict and a dataclass."""
         echo = config_from_dict(base_config()).to_dict()
-        echo["gamma"] = {"table": np.linspace(0.0, 1.0, 63), "nonneg": np.bool_(True)}
-        assert cli._jsonable(echo)["gamma"] == {
+        with_tables = {**echo, "gamma": {
+            "table": np.linspace(0.0, 1.0, 63), "nonneg": np.bool_(True),
+        }}
+        return [
+            echo, with_tables,
+            {"z": np.arange(3.0), "n": np.int64(2), "t": (1, 2.5)}, TimeGrid(T=1.0, steps=4),
+        ]
+
+    def test_jsonable_gives_json_native_values(self):
+        # _jsonable maps numpy values, dataclasses and non-finite floats to
+        # JSON-native ones; run hands _write_json the report through it.
+        with_tables = self.json_objects()[1]
+        assert cli._jsonable(with_tables)["gamma"] == {
             "table": np.linspace(0.0, 1.0, 63).tolist(), "nonneg": True,
         }
         native = cli._jsonable({"z": np.arange(3.0), "n": np.int64(2), "t": (1, 2.5)})
@@ -181,16 +200,40 @@ class TestParseConfig:
         assert type(native["n"]) is int
         assert cli._jsonable(TimeGrid(T=1.0, steps=4)) == {"T": 1.0, "steps": 4, "theta": 1.0}
         assert cli._jsonable({"rho": math.inf, "nan": math.nan}) == {"rho": "inf", "nan": "nan"}
-        path = tmp_path / "out.json"
-        objects = [
-            config_from_dict(base_config()).to_dict(), echo,
-            {"z": np.arange(3.0), "n": np.int64(2), "t": (1, 2.5)}, TimeGrid(T=1.0, steps=4),
-        ]
-        for obj in objects:
-            cli._write_json(path, obj)
-            assert path.read_text() == json.dumps(cli._jsonable(obj), indent=2) + "\n"
-        with pytest.raises(ValueError):
-            cli._write_json(path, {"rho": math.inf})
+
+    def test_report_json_bytes_are_the_indented_dump(self, tmp_path):
+        # report.json is read by people: indented by two spaces, and hashed
+        # from the bytes written
+        path = tmp_path / "report.json"
+        for obj in self.json_objects():
+            digest = cli._write_json(path, obj, indent=2)
+            data = (json.dumps(cli._jsonable(obj), indent=2) + "\n").encode()
+            assert path.read_bytes() == data
+            assert digest == hashlib.sha256(data).hexdigest()
+        bundle = run(config_from_dict(base_config(
+            outputs={"directory": str(tmp_path / "out")}
+        )), "solve", quiet=True)
+        data = (tmp_path / "out" / "report.json").read_bytes()
+        assert data == (json.dumps(bundle.report, indent=2) + "\n").encode()
+
+    def test_metadata_json_bytes_are_the_unindented_dump(self, tmp_path):
+        # _write_json without indent dumps one line through json's C
+        # encoder; it calls _jsonable only on what json cannot encode, and
+        # refuses non-finite floats
+        path = tmp_path / "metadata.json"
+        for obj in self.json_objects():
+            digest = cli._write_json(path, obj)
+            data = (json.dumps(cli._jsonable(obj)) + "\n").encode()
+            assert path.read_bytes() == data
+            assert digest == hashlib.sha256(data).hexdigest()
+        for indent in (None, 2):
+            with pytest.raises(ValueError):
+                cli._write_json(path, {"rho": math.inf}, indent=indent)
+        run(config_from_dict(base_config(
+            outputs={"directory": str(tmp_path / "out")}
+        )), "solve", quiet=True)
+        text = (tmp_path / "out" / "metadata.json").read_text()
+        assert text.count("\n") == 1 and text == json.dumps(json.loads(text)) + "\n"
 
     def test_config_dict_with_numpy_tables_runs(self, tmp_path):
         # config_from_dict takes numpy tables where JSON has lists; the
@@ -411,6 +454,7 @@ class TestSolveCommand:
         assert list(bundle.files) == [
             "report.json", "trajectory.csv", "normalized_trajectory.csv"
         ]
+        assert_manifest_on_disk(bundle)
         expected = sequential_csvs(cfg, tmp_path / "expected")
         for name in ("trajectory.csv", "normalized_trajectory.csv"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
@@ -446,7 +490,7 @@ class TestSolveCommand:
         def failing(path, trajectory, stride):
             if path.name == "normalized_trajectory.csv":
                 raise OSError(f"no errno, pid {os.getpid()}")
-            write(path, trajectory, stride)
+            return write(path, trajectory, stride)
 
         monkeypatch.setattr(cli, "_write_trajectory_csv", failing)
         cfg = config_from_dict(base_config(outputs={"directory": str(tmp_path / "out")}))
@@ -454,6 +498,31 @@ class TestSolveCommand:
             run(cfg, "solve", quiet=True)
         assert forks == ["normalized_trajectory.csv"]
         assert capfd.readouterr().err == ""
+
+    def test_csv_of_a_failed_child_is_written_and_hashed_here(
+        self, tmp_path, capfd, forks, monkeypatch
+    ):
+        # the child leaves a partial file and fails; this process writes the
+        # file again, and the manifest holds the digest of what it wrote
+        write = cli._write_trajectory_csv
+        parent = os.getpid()
+
+        def failing(path, trajectory, stride):
+            if os.getpid() != parent:
+                path.write_bytes(b"x,y\r\n")
+                raise OSError("the child's write fails")
+            return write(path, trajectory, stride)
+
+        monkeypatch.setattr(cli, "_write_trajectory_csv", failing)
+        out = tmp_path / "out"
+        cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
+        bundle = run(cfg, "solve", quiet=True)
+        assert forks == ["normalized_trajectory.csv"]
+        assert capfd.readouterr().err == ""
+        assert_manifest_on_disk(bundle)
+        expected = sequential_csvs(cfg, tmp_path / "expected")
+        for name in ("trajectory.csv", "normalized_trajectory.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     def test_daemonic_worker_writes_both_csvs(self, tmp_path):
         # a multiprocessing.Pool worker may not have children: it writes the
@@ -478,21 +547,22 @@ class TestSolveCommand:
         def blocking(path, trajectory, stride):
             if os.getpid() != parent:
                 threading.Event().wait()
-            write(path, trajectory, stride)
+            return write(path, trajectory, stride)
 
         monkeypatch.setattr(cli, "_write_trajectory_csv", blocking)
         monkeypatch.setattr(_forked, "CHILD_MIN_WAIT_S", 0.2)
         out = tmp_path / "out"
         cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
         began = time.monotonic()
-        run(cfg, "solve", quiet=True)
+        bundle = run(cfg, "solve", quiet=True)
         assert time.monotonic() - began < 5.0
         assert forks == ["normalized_trajectory.csv"]
+        assert_manifest_on_disk(bundle)
         expected = sequential_csvs(cfg, tmp_path / "expected")
         for name in ("trajectory.csv", "normalized_trajectory.csv"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
-    @pytest.mark.parametrize("where", ["start-raises", "not-linux"])
+    @pytest.mark.parametrize("where", ["start-raises", "not-linux", "one-process"])
     def test_csvs_are_written_here_where_no_child_starts(
         self, tmp_path, monkeypatch, forkable, where
     ):
@@ -505,10 +575,16 @@ class TestSolveCommand:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         if where == "not-linux":
             monkeypatch.setattr(sys, "platform", "darwin")
+        elif where == "one-process":
+            monkeypatch.setattr(_forked, "processes", lambda: 1)
         out = tmp_path / "out"
         cfg = config_from_dict(base_config(outputs={"directory": str(out)}))
-        run(cfg, "solve", quiet=True)
+        bundle = run(cfg, "solve", quiet=True)
         assert len(started) == (1 if where == "start-raises" else 0)
+        assert list(bundle.files) == [
+            "report.json", "trajectory.csv", "normalized_trajectory.csv"
+        ]
+        assert_manifest_on_disk(bundle)
         expected = sequential_csvs(cfg, tmp_path / "expected")
         for name in ("trajectory.csv", "normalized_trajectory.csv"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
@@ -521,6 +597,7 @@ class TestSolveCommand:
         bundle = run(cfg, "solve", quiet=True)
         assert forks == []
         assert list(bundle.files) == ["report.json", "trajectory.csv"]
+        assert_manifest_on_disk(bundle)
         expected = sequential_csvs(cfg, tmp_path / "expected")
         assert (out / "trajectory.csv").read_bytes() == (expected / "trajectory.csv").read_bytes()
 
@@ -541,22 +618,18 @@ class TestSolveCommand:
         cfg = parse_config(path)
         assert meta["config"] == cfg.to_dict()
 
-    def test_artifacts_are_hashed_in_chunks(self, tmp_path, monkeypatch):
-        # A 64-byte chunk splits every artifact into many reads, and each
-        # digest must still be that of the whole file.
-        monkeypatch.setattr(cli, "HASH_CHUNK", 64)
-        out = tmp_path / "out"
-        path = write_config(tmp_path, outputs={"directory": str(out)})
-        assert main(["solve", "--config", str(path), "--quiet"]) == 0
-        meta = json.loads((out / "metadata.json").read_text())
-        for name, digest in meta["files"].items():
-            data = (out / name).read_bytes()
-            assert len(data) > 64
-            assert hashlib.sha256(data).hexdigest() == digest, name
-        for size in (0, 64, 65, 1000):
-            blob = tmp_path / f"blob-{size}"
-            blob.write_bytes((bytes(range(256)) * 4)[:size])
-            assert cli._sha256(blob) == hashlib.sha256(blob.read_bytes()).hexdigest()
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_csvs_are_hashed_block_by_block(self, tmp_path, monkeypatch, rows):
+        # Each block of rows updates the digest as it is written.  One row a
+        # block, or five (the 63 rows leave a partial last block), gives the
+        # bytes of the default block size, and each digest is the file's.
+        cfg = config_from_dict(base_config(outputs={"directory": str(tmp_path / "out")}))
+        expected = sequential_csvs(cfg, tmp_path / "expected")
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", rows)
+        bundle = run(cfg, "solve", quiet=True)
+        assert_manifest_on_disk(bundle)
+        for name in ("trajectory.csv", "normalized_trajectory.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes()
 
     def test_runs_are_deterministic(self, tmp_path):
         path = write_config(tmp_path)
@@ -657,6 +730,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}") and cause in err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"T": 10**400}, "T"),
+        ({"resolution": 5, "gamma": {"table": [1.0, 10**400, 1.0, 1.0, 1.0]}},
+         "gamma.table entry"),
+        ({"resolution": 5, "coefficients": {"tabulated": {"a": [[[1.0]]] * 4 + [[[10**400]]]}}},
+         "coefficients.tabulated"),
+        ({"domain": {"dimension": 1, "box": [[0.0, 10**400]]}}, "domain.box hi"),
+        ({"gamma": {"eigenfunction": 10**400}}, "gamma.eigenfunction"),
+    ], ids=["T", "gamma-table", "tabulated", "box", "eigenfunction"])
+    def test_integer_beyond_a_double_names_field(self, tmp_path, capsys, overrides, field):
+        # json reads a 401-digit literal as an int, which float() cannot take
+        path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}")
+        assert err.endswith("int too large to convert to float\n")
+
+    def test_integer_beyond_the_digit_limit_is_2(self, tmp_path, capsys):
+        # json.loads refuses an integer literal past sys.get_int_max_str_digits()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config()).replace('"T": 1.0', '"T": 1' + "0" * 5000))
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} cannot be read as JSON")
+        assert err.count("\n") == 1
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -754,6 +853,20 @@ class TestOracleCommand:
         q = np.load(out / "qmatrix.npy")
         assert q.shape == (31, 31)
         assert report["spectral_radius"] < 1.0
+
+    def test_qmatrix_is_hashed_as_np_save_writes_it(self, tmp_path):
+        # np.save writes through the hashing writer: the bytes are those of
+        # np.save to a path, and the manifest holds their digest
+        out = tmp_path / "out"
+        cfg = config_from_dict(base_config(
+            resolution=15, N_t=16, outputs={"directory": str(out)}
+        ))
+        bundle = run(cfg, "oracle", quiet=True)
+        assert list(bundle.files) == ["report.json", "qmatrix.npy"]
+        assert_manifest_on_disk(bundle)
+        direct = tmp_path / "direct.npy"
+        np.save(direct, np.load(out / "qmatrix.npy"))
+        assert (out / "qmatrix.npy").read_bytes() == direct.read_bytes()
 
     def test_one_stepper_serves_oracle_and_solve(self, tmp_path, monkeypatch):
         assemblies, factorizations = [], []
@@ -955,6 +1068,12 @@ class TestValidateCommand:
         assert "max_norm_contraction" in names
         assert report["m_matrix_certified"] is True
         assert all(c["passed"] for c in report["checks"])
+
+    def test_manifest_holds_the_report(self, tmp_path):
+        cfg = config_from_dict(base_config(outputs={"directory": str(tmp_path / "out")}))
+        bundle = run(cfg, "validate", quiet=True)
+        assert list(bundle.files) == ["report.json"]
+        assert_manifest_on_disk(bundle)
 
     def test_random_stream_is_pinned(self, tmp_path, monkeypatch):
         # default_rng(0) gives the five random shifts as one (5, M) draw; they
