@@ -55,7 +55,11 @@ class SolverError(ProfileShiftError):
 
 
 class InnerSolveFailure(SolverError):
-    """Implicit step's linear solve stagnated (broken generator)."""
+    """An implicit step's LU solve failed its column-by-column check.
+
+    A column was not finite, or its normwise backward error stayed above
+    propagator.INNER_BACKWARD_ERROR after one refinement pass.
+    """
 
 
 class NoConvergence(SolverError):
@@ -106,4 +110,10 @@ class TooLarge(ProfileShiftError):
 
 
 class NumericalBreakdown(ProfileShiftError):
-    """Dense eigen/singular decomposition failed."""
+    """I - Q is numerically singular, or a dense Q has non-finite entries.
+
+    Raised by the deflation projector (a slow mode with |1 - mu| <= eps, or
+    an A_h that SuperLU finds exactly singular before ARPACK runs), by the
+    generator spectrum (some |1 - mu| = 0) and by the dense spectrum (a
+    non-finite Q, or a zero singular value of I - Q).
+    """

@@ -77,6 +77,9 @@ _CLUSTER_RTOL = 1e-8
 # temporaries are a few M x 64 blocks, so the oracle's peak stays at the
 # three M x M arrays of the powering (384 MB at DENSE_CAP).
 _BLOCK_COLUMNS = 64
+# A direction of a GMRES block whose pivoted R diagonal entry is at most
+# this times ||(I - Q) V_j||_2 is lost to rounding (see _gmres_identity_minus_q).
+_LOST = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +233,21 @@ def _gmres_identity_minus_q(
     from the residual R = V_0 S_0 and searches span{R, QR, Q^2 R, ...}: each
     iteration marches its basis block V_j once, orthogonalizes (I - Q) V_j
     against the basis by two passes of block Gram-Schmidt and takes the next
-    block from the QR of what is left, so every column gains a direction
-    per column of the block.  Both passes' coefficients and that QR's R fill
-    the block Hessenberg H, and each iteration solves min ||E_1 S_0 - H Y||_F
-    directly (LAPACK gelsy): its residual is the estimate, and the last Y
-    gives the cycle's update.  A rank-deficient block (repeated or dependent
-    columns, M < k, a basis that fills R^M) leaves zero or rounding-level
-    diagonal entries in the R factors, so H may be singular: Y is the
-    minimum-norm least-squares solution, which raises nothing.  A cycle ends after ``restart``
+    block from the column-pivoted QR of what is left, so every column gains
+    a direction per column of the block.  Both passes' coefficients and that
+    QR's R fill the block Hessenberg H, and each iteration solves
+    min ||E_1 S_0 - H Y||_F directly (LAPACK gelsy): its residual is the
+    estimate, and the last Y gives the cycle's update.  A direction whose R
+    diagonal entry is at most _LOST ||(I - Q) V_j||_2 is lost to rounding:
+    the block had dependent columns, or its Krylov space stopped growing, as
+    on a grid of several components, where Q is block diagonal.  Its row of
+    H is zeroed and its basis column becomes a fixed random unit vector
+    orthogonal to the basis, or zero once the basis fills R^M, so the
+    nonzero basis columns stay orthonormal and the estimate stays the
+    residual of Y.  A repeated column or M < k leaves zero entries in S_0
+    as well; H may then be singular, and Y is the minimum-norm
+    least-squares solution, so a rank-deficient block raises no error.
+    A cycle ends after ``restart``
     iterations (or ceil(M / k), past which the basis has no room), or once
     the estimate meets the bound, with one march of Z made with ``keep``;
     its true residual decides whether Z is returned or a new cycle starts,
@@ -318,11 +328,24 @@ def _gmres_identity_minus_q(
         for j in range(length):
             lo, hi = j * p, (j + 1) * p
             w = identity_minus_q(basis[:, lo:hi])
+            lost_below = _LOST * np.linalg.norm(w, 2)
             for _ in range(2):
                 projection = basis[:, :hi].T @ w
                 w -= basis[:, :hi] @ projection
                 hessenberg[:hi, lo:hi] += projection
-            basis[:, hi:hi + p], hessenberg[hi:hi + p, lo:hi] = np.linalg.qr(w)
+            basis[:, hi:hi + p], r, order = scipy.linalg.qr(
+                w, mode="economic", pivoting=True, check_finite=False
+            )
+            # |r_ii| does not increase, so the lost directions trail
+            small = np.abs(np.diagonal(r)) <= lost_below
+            kept = int(np.argmax(small)) if small.any() else p
+            r[kept:] = 0.0
+            hessenberg[hi:hi + p, lo + order] = r
+            for c in range(hi + kept, hi + p):
+                fill = np.random.default_rng(c).standard_normal(m)
+                for _ in range(2):
+                    fill -= basis[:, :c] @ (basis[:, :c].T @ fill)
+                basis[:, c] = fill / np.linalg.norm(fill) if c < m else 0.0
             h, g = hessenberg[:hi + p, :hi], start[:hi + p]
             y = scipy.linalg.lstsq(h, g, lapack_driver="gelsy", check_finite=False)[0]
             estimate = float(np.linalg.norm(g - h @ y))

@@ -1,8 +1,9 @@
 """Spatial domains and their uniform grid discretizations.
 
 The domain is a 1D interval or a 2D box, optionally restricted by a cell
-mask (staircase approximation of non-rectangular, non-connected or
-non-simply-connected regions).  Masked-out cells act as homogeneous
+mask: a boolean raster with one entry per interior node, False where the
+cell is removed (staircase approximation of non-rectangular, non-connected
+or non-simply-connected regions).  Masked-out cells act as homogeneous
 Dirichlet boundary, exactly like the outer box boundary.
 """
 
@@ -10,24 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BadResolution, EmptyInterior
 
-# Mask: predicate on physical coordinates, or a boolean raster over the
-# interior nodes (shape == nodes_per_axis), or None for the whole box.
-Mask = Union[Callable[[np.ndarray], bool], np.ndarray, None]
-
 
 @dataclass(frozen=True)
 class Domain:
-    """Bounded spatial domain: 1D interval or 2D box, with optional mask."""
+    """Bounded spatial domain: 1D interval or 2D box, with an optional mask raster."""
 
     dimension: int
     box: tuple[tuple[float, float], ...]
-    mask: Mask = None
+    mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -43,20 +40,32 @@ class Domain:
             if not hi > lo:
                 raise BadResolution(f"box interval ({lo}, {hi}) has nonpositive extent")
         object.__setattr__(self, "box", box)
+        if self.mask is not None:
+            # kept as a read-only bool array; a callable or a ragged list is refused
+            try:
+                raster = np.array(self.mask, dtype=bool)
+            except (ValueError, TypeError) as exc:
+                raise BadResolution(f"mask must be a boolean raster: {exc}") from exc
+            if raster.ndim != self.dimension:
+                raise BadResolution(
+                    f"mask must be a boolean raster with {self.dimension} axes, "
+                    f"got {type(self.mask).__name__} of shape {raster.shape}"
+                )
+            object.__setattr__(self, "mask", _read_only(raster))
 
     @property
     def extents(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.box)
 
 
-def interval(lo: float = 0.0, hi: float = np.pi, mask: Mask = None) -> Domain:
+def interval(lo: float = 0.0, hi: float = np.pi, mask=None) -> Domain:
     return Domain(1, ((lo, hi),), mask)
 
 
 def box2d(
     x: tuple[float, float] = (0.0, np.pi),
     y: tuple[float, float] = (0.0, np.pi),
-    mask: Mask = None,
+    mask=None,
 ) -> Domain:
     return Domain(2, (x, y), mask)
 
@@ -104,14 +113,6 @@ class Grid:
         lows = np.array([lo for lo, _ in self.domain.box])
         return _read_only(lows + (self.nodes + 1) * np.asarray(self.h))
 
-    def node_index(self, multi_index: Sequence[int]) -> int:
-        """Linear index of a node, or -1 if outside the interior."""
-        idx = tuple(int(i) for i in multi_index)
-        for i, n in zip(idx, self.shape):
-            if i < 0 or i >= n:
-                return -1
-        return int(self.index_map[idx])
-
     def neighbor(self, offset: Sequence[int]) -> np.ndarray:
         """Linear index of the node at ``offset`` from each interior node, or -1.
 
@@ -136,8 +137,8 @@ def build_grid(domain: Domain, nodes_per_axis: Sequence[int]) -> Grid:
     the box is the Dirichlet boundary and is never stored.  Masked-out cells
     are likewise treated as Dirichlet boundary (staircase approximation).
 
-    Raises BadResolution for a count below 1 and EmptyInterior if masking
-    removes every node.
+    Raises BadResolution for a count below 1 or a mask raster whose shape is
+    not the counts, and EmptyInterior if masking removes every node.
     """
     counts = tuple(int(n) for n in nodes_per_axis)
     if len(counts) != domain.dimension:
@@ -149,20 +150,9 @@ def build_grid(domain: Domain, nodes_per_axis: Sequence[int]) -> Grid:
 
     h = tuple(ext / (n + 1) for ext, n in zip(domain.extents, counts))
 
-    inside = np.ones(counts, dtype=bool)
-    if domain.mask is not None:
-        if callable(domain.mask):
-            lows = np.array([lo for lo, _ in domain.box])
-            for multi in np.ndindex(*counts):
-                x = lows + (np.asarray(multi) + 1) * np.asarray(h)
-                inside[multi] = bool(domain.mask(x))
-        else:
-            raster = np.asarray(domain.mask)
-            if raster.shape != counts:
-                raise BadResolution(
-                    f"mask shape {raster.shape} does not match grid shape {counts}"
-                )
-            inside = raster.astype(bool)
+    inside = np.ones(counts, dtype=bool) if domain.mask is None else domain.mask
+    if inside.shape != counts:
+        raise BadResolution(f"mask shape {inside.shape} does not match grid shape {counts}")
 
     count = int(inside.sum())
     if count == 0:

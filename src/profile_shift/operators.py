@@ -367,7 +367,6 @@ class DiscreteGenerator:
     """
 
     matrix: sp.csr_matrix
-    time_stamp: float
     m_matrix_certified: bool
     _pattern: _Pattern | None = field(default=None, repr=False, compare=False)
 
@@ -394,12 +393,11 @@ class DiscreteGenerator:
         return sp.csr_matrix(csr, shape=(m, m))
 
 
-def _generator(pattern: _Pattern, data: np.ndarray, t: float, certified: bool):
-    """The generator at time t whose CSR data, over ``pattern``, is ``data``."""
+def _generator(pattern: _Pattern, data: np.ndarray, certified: bool):
+    """The generator whose CSR data, over ``pattern``, is ``data``."""
     m = pattern.diagonal.size
     return DiscreteGenerator(
         sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(m, m)),
-        float(t),
         certified,
         pattern,
     )
@@ -464,4 +462,4 @@ def assemble(
         and not np.any(diag > 0)
         and not np.any(data[pattern.off_diagonal] < 0)
     )
-    return _generator(pattern, data, t, certified)
+    return _generator(pattern, data, certified)

@@ -64,6 +64,15 @@ class TimeGrid:
             raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"need at least one time step, got {self.steps}")
+        try:
+            dt = self.T / self.steps
+        except OverflowError:  # an N_t beyond the range of a double
+            dt = 0.0
+        if dt < np.finfo(float).tiny:
+            raise ValueError(
+                f"the step T / N_t is below the least normal double {np.finfo(float).tiny:.4g} "
+                f"(T = {self.T:g}): raise T or lower N_t"
+            )
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
 
@@ -315,7 +324,7 @@ class ThetaStepper:
         """Keep the generator that a message of ``_encode`` carries, on this grid's pattern."""
         k, data, mixed, certified = message
         self._generators[k] = operators._generator(
-            operators._pattern(self.grid, mixed), data, self.timegrid.time(k), certified
+            operators._pattern(self.grid, mixed), data, certified
         )
 
 

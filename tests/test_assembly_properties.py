@@ -143,12 +143,12 @@ def rounded_lookup_field(grid, a, f, q, delta):
     """Pointwise field that finds each point's node by rounding its position.
 
     The point's multi-index is np.rint((x - lows) / h) - 1, mapped to the node
-    by Grid.node_index.
+    by Grid.index_map.
     """
     lows = np.array([lo for lo, _ in grid.domain.box])
 
     def locate(x):
-        return grid.node_index(np.rint((x - lows) / np.asarray(grid.h)).astype(int) - 1)
+        return grid.index_map[tuple(np.rint((x - lows) / np.asarray(grid.h)).astype(int) - 1)]
 
     return CoefficientField(
         dimension=grid.dimension,

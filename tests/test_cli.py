@@ -667,6 +667,19 @@ class TestSolveCommand:
         assert (out / "normalized_trajectory.csv").exists()
 
 
+class TestSummaryLine:
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_every_command_prints_its_verdict(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, resolution=15, N_t=16, outputs={"directory": str(out)})
+        sweep = {"posedness": "7,15", "convergence": "15,31"}
+        flags = ["--resolutions", sweep[command]] if command in sweep else []
+        assert main([command, "--config", str(path), *flags]) == 0
+        summary, wrote = capsys.readouterr().out.splitlines()
+        assert summary.startswith(command) and summary.endswith("-> ok")
+        assert wrote == f"wrote {out}/report.json, {out}/metadata.json"
+
+
 class TestEnvironment:
     def test_thread_variables_are_left_alone(self, tmp_path, monkeypatch):
         # BLAS reads its thread count when numpy is first imported; the CLI
@@ -746,6 +759,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}")
         assert err.endswith("int too large to convert to float\n")
+
+    @pytest.mark.parametrize("overrides", [{"N_t": 10**400}, {"T": 1e-320}],
+                             ids=["N_t-past-a-double", "T-subnormal"])
+    def test_step_below_a_normal_double_names_T_and_N_t(self, tmp_path, capsys, overrides):
+        # T / N_t would overflow converting N_t, or march a subnormal step
+        # into non-finite values
+        path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)
+        began = time.perf_counter()
+        assert main(["solve", "--config", str(path)]) == 2
+        assert time.perf_counter() - began < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: T, N_t, theta: the step T / N_t is below the least normal double"
+        )
+        assert err.count("\n") == 1
 
     def test_integer_beyond_the_digit_limit_is_2(self, tmp_path, capsys):
         # json.loads refuses an integer literal past sys.get_int_max_str_digits()

@@ -351,6 +351,33 @@ class TestBlockGmres:
         if repeat:
             assert np.linalg.norm(zeta[:, 2] - zeta[:, 0]) <= 1e-9 * np.linalg.norm(zeta[:, 0])
 
+    def test_block_that_loses_rank_keeps_its_cycle(self):
+        # The mask leaves three single nodes and a path of three, whose
+        # middle eigenvalue is that of each single node, so Q has a fourfold
+        # eigenvalue and span{R, (I - Q) R} of three columns has dimension 5:
+        # the first iteration's QR has an R entry near 1e-16.  With that
+        # direction replaced, one cycle of ceil(6 / 3) iterations spans R^6
+        # and meets the bound.
+        coeffs = CoefficientField(
+            dimension=1,
+            a=lambda x, t: (1.0 + 0.5 * np.sin(3.0 * t)) * np.eye(1),
+            f=lambda x, t: np.zeros(1),
+            q=lambda x, t: 0.0,
+            delta=0.5,
+            time_dependent=True,
+        )
+        mask = np.array([1, 0, 1, 0, 1, 1, 1, 0, 1], dtype=bool)
+        grid = build_grid(interval(0.0, 1.0, mask=mask), [9])
+        stepper = ThetaStepper(coeffs, grid, TimeGrid(T=1.0, steps=1, theta=0.5))
+        block = np.random.default_rng(0).standard_normal((grid.size, 3))
+        zeta, history, marched, _ = _gmres_identity_minus_q(
+            stepper, block, tol=1e-10, max_iter=1, restart=grid.size
+        )
+        assert grid.size == 6 and len(history) == 2
+        assert history[1] <= history[0] and history[1] <= 1e-10
+        defect = zeta - marched - block
+        assert np.all(np.linalg.norm(defect, axis=0) <= 1e-10 * np.linalg.norm(block, axis=0))
+
 
 class TestLastMarch:
     """The trajectory is the march of zeta that ended the solve."""

@@ -34,14 +34,20 @@ def test_masked_center_cell():
     grid = build_grid(box2d(mask=mask), [3, 3])
     assert grid.size == 8
     # the removed center is not addressable; its neighbors see boundary there
-    assert grid.node_index((1, 1)) == -1
-    assert grid.node_index((0, 1)) >= 0
+    assert grid.index_map[1, 1] == -1
+    assert grid.index_map[0, 1] >= 0
 
 
 def test_predicate_mask():
-    # keep only the left half of the interval
-    dom = interval(0.0, np.pi, mask=lambda x: x[0] < np.pi / 2)
-    grid = build_grid(dom, [7])
+    # a mask is a raster: a predicate is refused, and its raster over the
+    # nodes keeps only the left half of the interval
+    def left(x):
+        return x[0] < np.pi / 2
+
+    with pytest.raises(BadResolution, match="mask must be a boolean raster with 1 axes"):
+        interval(0.0, np.pi, mask=left)
+    nodes = build_grid(interval(0.0, np.pi), [7]).coordinates()
+    grid = build_grid(interval(0.0, np.pi, mask=[left(x) for x in nodes]), [7])
     assert 0 < grid.size < 7
     assert np.all(grid.coordinates()[:, 0] < np.pi / 2)
 
@@ -52,9 +58,7 @@ def test_index_round_trip():
     mask[0, 0] = False
     grid = build_grid(Domain(2, ((0.0, 1.0), (0.0, 2.0)), mask), [5, 4])
     for linear, multi in enumerate(grid.nodes):
-        assert grid.node_index(multi) == linear
-    assert grid.node_index((-1, 0)) == -1
-    assert grid.node_index((5, 0)) == -1
+        assert grid.index_map[tuple(multi)] == linear
 
 
 def test_refinement_monotone():
@@ -81,7 +85,7 @@ def test_bad_resolution():
 
 def test_empty_interior():
     with pytest.raises(EmptyInterior):
-        build_grid(interval(mask=lambda x: False), [5])
+        build_grid(interval(mask=np.zeros(5, dtype=bool)), [5])
     with pytest.raises(EmptyInterior):
         build_grid(box2d(mask=np.zeros((3, 3), dtype=bool)), [3, 3])
 
@@ -98,3 +102,15 @@ def test_degenerate_box_rejected():
         Domain(3, ((0.0, 1.0),) * 3)
     with pytest.raises(BadResolution, match="finite"):
         Domain(1, ((0.0, np.inf),))
+
+
+def test_mask_is_a_read_only_bool_raster():
+    given = np.array([[1, 0, 1], [1, 1, 1]])
+    domain = box2d(mask=given)
+    assert domain.mask.dtype == bool and not domain.mask.flags.writeable
+    assert np.array_equal(domain.mask, given.astype(bool))
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+    with pytest.raises(BadResolution, match="mask must be a boolean raster with 2 axes"):
+        box2d(mask=np.ones(3, dtype=bool))
+    with pytest.raises(BadResolution, match="mask must be a boolean raster"):
+        interval(mask=[[1, 1], [1]])
