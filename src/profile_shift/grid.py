@@ -18,9 +18,13 @@ import numpy as np
 from .errors import BadResolution, EmptyInterior
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
-    """Bounded spatial domain: 1D interval or 2D box, with an optional mask raster."""
+    """Bounded spatial domain: 1D interval or 2D box, with an optional mask raster.
+
+    Domains compare and hash by value: the dimension, the box, and the
+    mask raster's shape and bytes.
+    """
 
     dimension: int
     box: tuple[tuple[float, float], ...]
@@ -52,6 +56,18 @@ class Domain:
                     f"got {type(self.mask).__name__} of shape {raster.shape}"
                 )
             object.__setattr__(self, "mask", _read_only(raster))
+
+    def _key(self) -> tuple:
+        mask = None if self.mask is None else (self.mask.shape, self.mask.tobytes())
+        return self.dimension, self.box, mask
+
+    def __eq__(self, other):
+        if not isinstance(other, Domain):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def extents(self) -> tuple[float, ...]:

@@ -775,6 +775,23 @@ class TestExitCodes:
         )
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("resolution", [7, 63], ids=["norm-bound", "matrix-entries"])
+    def test_step_matrix_that_overflows_names_T_and_N_t(self, tmp_path, capsys, resolution):
+        # dt ||A_h|| is near 1e308: at 7 nodes the step's norm bound
+        # sqrt(||B||_1 ||B||_inf) overflows a double, at 63 its entries do
+        path = write_config(
+            tmp_path, resolution=resolution, N_t=8, theta=0.5, T=1e308,
+            outputs={"directory": str(tmp_path / "out")},
+        )
+        began = time.perf_counter()
+        assert main(["solve", "--config", str(path)]) == 2
+        assert time.perf_counter() - began < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: T, N_t: a matrix of step 0")
+        assert "(T = 1e+308, N_t = 8, dt = 1.25e+307)" in err
+        assert err.count("\n") == 1
+
     def test_integer_beyond_the_digit_limit_is_2(self, tmp_path, capsys):
         # json.loads refuses an integer literal past sys.get_int_max_str_digits()
         path = tmp_path / "config.json"

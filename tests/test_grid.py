@@ -114,3 +114,15 @@ def test_mask_is_a_read_only_bool_raster():
         box2d(mask=np.ones(3, dtype=bool))
     with pytest.raises(BadResolution, match="mask must be a boolean raster"):
         interval(mask=[[1, 1], [1]])
+
+
+def test_masked_domains_compare_and_hash_by_value():
+    raster = np.ones((3, 3), dtype=bool)
+    holed = raster.copy()
+    holed[1, 1] = False
+    same = box2d(mask=np.ones((3, 3)))
+    assert box2d(mask=raster) == same and hash(box2d(mask=raster)) == hash(same)
+    assert box2d(mask=raster) != box2d(mask=holed)
+    assert box2d(mask=raster) != box2d(mask=np.ones((1, 9), dtype=bool))  # same bytes
+    assert box2d(mask=raster) != box2d()
+    assert box2d(mask=raster) != box2d(x=(0.0, 1.0), mask=raster)

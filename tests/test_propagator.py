@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +44,10 @@ class TestTimeGrid:
             TimeGrid(T=1.0, steps=4, theta=0.3)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, steps=4, theta=1.1)
+        for steps in (2.5, 4.0, "4"):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                TimeGrid(1.0, steps)
+        assert TimeGrid(1.0, np.int64(4)).dt == 0.25
 
 
 class TestStep:
@@ -250,7 +257,46 @@ class TestForeignStepper:
             solve_profile_shift(shift, coeffs, grid, tg, "upwind", stepper=other)
 
 
+# Resident memory that each cached step of a time-dependent 1D march adds,
+# read in a fresh interpreter around serial factorizations of every step.
+CACHED_STEP_SCRIPT = """
+import os
+import numpy as np
+from profile_shift import CoefficientField, ThetaStepper, TimeGrid, build_grid, interval
+
+def resident():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+coeffs = CoefficientField(
+    1, lambda x, t: np.eye(1), lambda x, t: np.zeros(1), lambda x, t: t, 1.0,
+    time_dependent=True,
+)
+stepper = ThetaStepper(coeffs, build_grid(interval(), [255]), TimeGrid(1.0, 256))
+stepper._step_system(0)
+before = resident()
+assert stepper.m_matrix_certified
+print((resident() - before) / 255)
+"""
+
+
 class TestStepperCache:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_a_cached_step_stays_compact(self):
+        # A step's factors hold about 1000 nonzeros (12 KB); under SuperLU's
+        # default panel each cached step kept about 158 KB resident, and
+        # about 40 KB with a one-column panel.
+        source = os.path.dirname(os.path.dirname(propagator.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", CACHED_STEP_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 80 * 1024
+
     def test_time_dependent_steps_use_fresh_generators(self, grid1d):
         # q(x, t) = t changes the implicit matrix every step; verify the
         # two-step march against hand-built dense algebra
