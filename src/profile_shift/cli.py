@@ -38,6 +38,7 @@ from .errors import (
 )
 from .fredholm import (
     ProfileShift,
+    _check_settings,
     dense_propagator,
     normalize,
     solve_profile_shift,
@@ -70,6 +71,7 @@ from .validation import (
 COMMANDS = ("solve", "oracle", "spectrum", "posedness", "convergence", "validate")
 ORACLE_AGREEMENT_TOL = 1e-8
 MASS_TOL = 1e-12
+RANDOM_SHIFTS = 5  # validate's random_shifts and max_norm_contraction trials
 CSV_BLOCK_ROWS = 32  # trajectory CSV rows formatted per write
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +173,7 @@ def _build(field: str, make, *args):
     """Return ``make(*args)``; its rejection becomes a ValidationError naming ``field``."""
     try:
         return make(*args)
-    except (ValueError, TypeError, OverflowError, ConfigError) as exc:
+    except (ValueError, TypeError, OverflowError, MemoryError, ConfigError) as exc:
         raise ValidationError(f"{field}: {exc}") from exc
 
 
@@ -197,9 +199,9 @@ def config_from_dict(data) -> ExperimentConfig:
     """Validate a config dictionary, apply defaults and build its objects.
 
     Structure and JSON types are checked here.  Value ranges are checked by
-    the constructors that use them (Domain, build_grid, TimeGrid and the
-    coefficient builders, ProfileShift); their errors are reported naming the
-    config field.
+    the code that uses them (Domain, build_grid, TimeGrid, the coefficient
+    builders, ProfileShift, and fredholm's GMRES settings check); their
+    errors are reported naming the config field.
     """
     _object(data, "config", (
         "domain", "resolution", "T", "N_t", "theta", "advection_mode",
@@ -231,11 +233,9 @@ def config_from_dict(data) -> ExperimentConfig:
 
     solver = _object(data.get("solver", {}), "solver", ("tol", "max_iter", "restart"))
     tol = _as_float(solver.get("tol", 1e-10), "solver.tol")
-    _require(0 < tol < 1, f"solver.tol must lie in (0, 1), got {tol}")
     max_iter = _as_int(solver.get("max_iter", 200), "solver.max_iter")
-    _require(max_iter >= 1, f"solver.max_iter must be >= 1, got {max_iter}")
     restart = _as_int(solver.get("restart", 50), "solver.restart")
-    _require(restart >= 1, f"solver.restart must be >= 1, got {restart}")
+    _build("solver.tol, solver.max_iter, solver.restart", _check_settings, tol, max_iter, restart)
 
     outputs = _object(data.get("outputs", {}), "outputs", ("directory", "slice_stride"))
     out_dir = outputs.get("directory", "out")
@@ -337,13 +337,9 @@ def _gamma(spec, grid: Grid) -> tuple[dict, ProfileShift]:
     elif form == "indicator":
         ind = _object(spec["indicator"], "gamma.indicator", ("box", "value"), ("box",))
         bx = _intervals(ind["box"], "gamma.indicator.box")
-        _require(np.isfinite(bx).all(), f"gamma.indicator.box {bx} must have finite endpoints")
-        _require(
-            len(bx) == grid.dimension, f"indicator box must list {grid.dimension} [lo, hi] pairs"
-        )
+        box = _build("gamma.indicator.box", Domain, grid.dimension, bx).box
         inside = np.ones(grid.size, dtype=bool)
-        for (lo, hi), x in zip(bx, coords.T):
-            _require(hi > lo, f"indicator interval [{lo}, {hi}] must have positive extent")
+        for (lo, hi), x in zip(box, coords.T):
             inside &= (x >= lo) & (x <= hi)
         value = _as_float(ind.get("value", 1.0), "gamma.indicator.value")
         _require(np.isfinite(value), f"gamma.indicator.value must be finite, got {value}")
@@ -482,9 +478,8 @@ def _verify(shift_check: ShiftCheck, normalized: Trajectory | None) -> dict:
 def _cmd_solve(config: ExperimentConfig, out: Path):
     stepper = ThetaStepper(config.coeffs, config.grid, config.timegrid, config.advection_mode)
     result = _solve(config, config.shift, stepper)
-    checks = _verify(
-        check_fixed_shift(result.trajectory, config.shift.gamma, config.tol), result.normalized
-    )
+    residual = result.relative_residual  # the two-time residual of its post-check
+    checks = _verify(ShiftCheck(residual, config.tol, residual <= config.tol), result.normalized)
     report = {
         "M": config.grid.size,
         "m_matrix_certified": stepper.m_matrix_certified,
@@ -512,7 +507,10 @@ def _cmd_oracle(config: ExperimentConfig, out: Path):
     grid = config.grid
     stepper = ThetaStepper(config.coeffs, grid, config.timegrid, config.advection_mode)
     q = dense_propagator(stepper)
-    zeta_dense = np.linalg.solve(np.eye(grid.size) - q, config.shift.gamma)
+    try:
+        zeta_dense = np.linalg.solve(np.eye(grid.size) - q, config.shift.gamma)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"I - Q is numerically singular: {exc}") from exc
     result = _solve(config, config.shift, stepper)
     denom = max(float(np.linalg.norm(zeta_dense)), 1e-30)
     agreement = float(np.linalg.norm(result.zeta - zeta_dense)) / denom
@@ -596,13 +594,13 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     stepper = ThetaStepper(coeffs, grid, timegrid, config.advection_mode)
     checks = [{"name": "coefficients", "passed": True, "detail": coefficient_check}]
 
-    # One block solve: the configured gamma is column 0 and the five random
-    # shifts, one (5, M) draw, the rest.  A zero gamma forces zeta = 0 and
-    # stays out of the block.
+    # One block solve: the configured gamma is column 0 and the random
+    # shifts, one (RANDOM_SHIFTS, M) draw, the rest.  A zero gamma forces
+    # zeta = 0 and stays out of the block.
     gamma = config.shift.gamma
     gamma_norm = float(np.linalg.norm(gamma))
     in_block = gamma_norm > 0.0
-    gammas = np.random.default_rng(0).standard_normal((5, grid.size)).T
+    gammas = np.random.default_rng(0).standard_normal((RANDOM_SHIFTS, grid.size)).T
     if in_block:
         gammas = np.column_stack([gamma, gammas])
     block = check_random_shifts(stepper, gammas, config.tol, config.max_iter, config.restart)
@@ -626,7 +624,7 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
     checks.append({
         "name": "random_shifts",
         "passed": shifts.passed,
-        "detail": {"trials": 5, "worst_residual": shifts.residual, "tol": shifts.tol},
+        "detail": {"trials": RANDOM_SHIFTS, "worst_residual": shifts.residual, "tol": shifts.tol},
     })
 
     if stepper.m_matrix_certified and timegrid.theta == 1.0:
@@ -636,7 +634,7 @@ def _cmd_validate(config: ExperimentConfig, out: Path):
         checks.append({
             "name": "max_norm_contraction",
             "passed": bool(np.all(growth <= 1.0 + 1e-12)),
-            "detail": {"trials": 5, "worst_growth": float(growth.max())},
+            "detail": {"trials": RANDOM_SHIFTS, "worst_growth": float(growth.max())},
         })
 
     report = {

@@ -112,8 +112,10 @@ class TooLarge(ProfileShiftError):
 class NumericalBreakdown(ProfileShiftError):
     """I - Q is numerically singular, or a dense Q has non-finite entries.
 
-    Raised by the deflation projector (a slow mode with |1 - mu| <= eps, or
-    an A_h that SuperLU finds exactly singular before ARPACK runs), by the
-    generator spectrum (some |1 - mu| = 0) and by the dense spectrum (a
-    non-finite Q, or a zero singular value of I - Q).
+    Raised by the deflation projector (a slow mode with |1 - mu| <= eps, a
+    horizon with T ||A_h||_inf <= eps / 2, which puts every mu within eps of
+    1, or an A_h that SuperLU finds exactly singular before ARPACK runs), by
+    the generator spectrum (some |1 - mu| = 0), by the dense spectrum (a
+    non-finite Q, or a zero singular value of I - Q) and by the CLI's oracle
+    (a dense I - Q that LAPACK finds singular).
     """

@@ -420,19 +420,28 @@ def _slow_projector(engine: ThetaStepper, columns: np.ndarray, tol: float):
     such a C is singular.  Whatever the projector, the caller accepts a
     zeta only on the true residual of its own march, so a poor one costs
     iterations but never a wrong answer.  Raises NumericalBreakdown when a
-    found mu is within eps of 1.
+    found mu is within eps of 1, and, before any other work, when
+    T ||A_h||_inf <= eps / 2 puts every mu there.
     """
     if engine.coeffs.time_dependent:
         return None
     generator = engine.generator.matrix.tocsr()
+    timegrid = engine.timegrid
+    # Every eigenvalue of A_h lies in the Gershgorin disc |lambda| <= ||A_h||_inf,
+    # so from T ||A_h||_inf <= eps / 2 every mu = m(lambda)^N_t is within eps of 1.
+    radius = abs(generator).sum(axis=1).max()
+    if radius <= np.finfo(float).eps / 2.0 / timegrid.T:  # T * radius may overflow
+        raise NumericalBreakdown(
+            f"I - Q is numerically singular: T ||A_h||_inf <= eps / 2 puts every "
+            f"eigenvalue of Q within eps of 1 (T = {timegrid.T:.3g}, N_t = {timegrid.steps}, "
+            f"||A_h||_inf = {radius:.3g}): raise T"
+        )
     image = generator @ columns
     spanned = columns @ np.linalg.lstsq(columns, image, rcond=None)[0]
     if np.linalg.norm(image - spanned) <= tol * np.linalg.norm(image):
         return None
-    timegrid = engine.timegrid
     budget = timegrid.steps
-    # Every eigenvalue of A_h lies in the Gershgorin disc |lambda| <= ||A_h||_inf.
-    stiffest = abs(_multipliers(-abs(generator).sum(axis=1).max(), timegrid))
+    stiffest = abs(_multipliers(-radius, timegrid))
     count, labels = scipy.sparse.csgraph.connected_components(generator)
     components = []
     for c in range(count):

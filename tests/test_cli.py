@@ -732,10 +732,16 @@ class TestExitCodes:
         ("solve", {"solver": {"tol": 1.0}}, "solver.tol", "must lie in (0, 1)"),
         ("validate", {"gamma": {"eigenfunction": 2}, "solver": {"tol": math.inf}},
          "solver.tol", "must lie in (0, 1)"),
+        # 888 PiB: numpy refuses the grid's node raster without allocating it
+        ("solve", {"resolution": 10**18}, "resolution", "Unable to allocate"),
+        ("solve", {"T": "1"}, "T", "must be a number"),
+        ("solve", {"N_t": 2.5}, "N_t", "must be an integer"),
+        ("solve", {"theta": True}, "theta", "must be a number"),
     ], ids=["T-inf-solve", "T-inf-posedness", "box-inf", "axx-nan", "rate-nan", "preset-list",
             "tabulated-extra-field", "table-length-spectrum", "nonneg-conflict", "delta-inf",
             "mask-posedness", "indicator-inf", "indicator-value-inf", "tol-2-solve",
-            "tol-1-nonneg-solve", "tol-inf-validate"])
+            "tol-1-nonneg-solve", "tol-inf-validate", "resolution-888-PiB", "T-string",
+            "N_t-float", "theta-bool"])
     def test_config_value_error_names_field(self, tmp_path, capsys, command, overrides,
                                             field, cause):
         path = write_config(tmp_path, outputs={"directory": str(tmp_path / "out")}, **overrides)
@@ -829,6 +835,23 @@ class TestExitCodes:
         )
         assert main(["solve", "--config", str(path)]) == 3
         assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "validate", "oracle"])
+    def test_horizon_too_short_for_the_grid_is_3(self, tmp_path, capsys, command):
+        # T ||A_h||_inf = 1e-300 * 104 <= eps / 2 puts every eigenvalue of Q
+        # within eps of 1; the dense oracle finds I - Q exactly singular
+        path = write_config(
+            tmp_path, resolution=15, N_t=16, T=1e-300,
+            outputs={"directory": str(tmp_path / "out")},
+        )
+        began = time.perf_counter()
+        assert main([command, "--config", str(path)]) == 3
+        assert time.perf_counter() - began < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: I - Q is numerically singular")
+        assert err.count("\n") == 1
+        if command != "oracle":
+            assert "(T = 1e-300, N_t = 16, ||A_h||_inf = 104)" in err
 
     def test_failed_check_is_4(self, tmp_path):
         # one Crank-Nicolson step against a sharp indicator overshoots below

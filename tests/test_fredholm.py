@@ -34,6 +34,7 @@ from profile_shift.fredholm import (
     DEFLATION_CAP,
     DENSE_CAP,
     _banded_eigvalsh,
+    _component_factors,
     _dense_spectrum,
     _gmres_identity_minus_q,
     _real_basis,
@@ -511,10 +512,24 @@ class TestDeflation:
         )
         with pytest.raises(NumericalBreakdown, match="I - Q is numerically singular"):
             solve_profile_shift(ProfileShift(np.ones(15)), frozen, grid, TimeGrid(T=1.0, steps=64))
+        # Above, T ||A_h||_inf <= eps / 2 refuses Q before ARPACK runs.  Here
+        # T ||A_h||_inf = 1e-14, but the slowest multiplier 1 / (1 + dt 0.997)
+        # at dt = 1.6e-18 rounds to 1, so ARPACK's mode has mu = 1.
+        with pytest.raises(NumericalBreakdown, match="I - Q is numerically singular$"):
+            solve_profile_shift(
+                ProfileShift(np.ones(15)), heat(1), grid, TimeGrid(T=1e-16, steps=64)
+            )
         # A singular A_h (A_h w = 0 gives Q w = w) is refused the same way.
         singular = scipy.sparse.csr_matrix(np.diag([0.0, -1.0, -2.0, -3.0, -4.0]))
         with pytest.raises(NumericalBreakdown, match="I - Q is numerically singular"):
             _slow_modes(singular, 100)
+
+    def test_left_vector_of_another_eigenvalue_gives_no_factors(self):
+        # the right vector e1 belongs to -1 and the left e2 to -2, so C = W^T U = 0
+        block = scipy.sparse.csr_matrix(np.diag([-1.0, -2.0]))
+        e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+        timegrid = TimeGrid(T=1.0, steps=8)
+        assert _component_factors(block, np.array([-1.0]), e1, e2, timegrid) is None
 
     @pytest.mark.parametrize("cap, taken", [(1, 1), (2, 1), (3, 3), (4, 4), (5, 4), (6, 6)])
     def test_degenerate_eigenvalue_is_taken_whole(self, grid2d, rng, monkeypatch, cap, taken):
